@@ -3,13 +3,13 @@
 from .errors import (CheckpointError, ConfigError, ContractError,
                      DimensionError, GenerationError, MaskvidError,
                      NumericError, SamplingError)
-from .masking import (MaskMap, VisibleSet, apply_mask, frame_mask,
-                      leakage_probe, make_mask, random_mask, tube_mask)
+from .masking import (MaskMap, frame_mask, leakage_probe, make_mask,
+                      random_mask, tube_mask)
 from .model import (MAEOutput, MAEParams, ModelConfig, classify, cube_embed,
                     decode, desk_config, encode, init_head_params,
                     init_mae_params, mae_forward, pos_embed_table,
                     vit_base_config)
-from .tensor import Param, Tape, Tensor, attention_block, backward, finite_diff_check
+from .tensor import Param, Tape, Tensor, attention_block, finite_diff_check
 from .training import (Checkpoint, OptimState, TrainConfig, adamw_step,
                        cosine_warmup_lr, finetune, linear_probe,
                        load_checkpoint, masked_mse_loss,

@@ -9,9 +9,12 @@ ablate. Config files are flat key=value text with dotted prefixes
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 
 import numpy as np
 
@@ -28,12 +31,14 @@ from .video import (CubeGrid, VideoClip, cubify, decubify, read_raw_clip,
                     synth_moving_sprites)
 from .viz import frame_to_image, gray_masked_cubes, mask_heatmap, write_ppm
 
-_MODEL_KEYS = {"dims", "d_enc", "depth_enc", "heads_enc", "d_dec", "depth_dec",
-               "heads_dec", "mlp_ratio", "num_classes"}
-_TRAIN_KEYS = {"base_lr", "batch_size", "warmup_epochs", "total_epochs",
-               "weight_decay", "beta1", "beta2", "mask_strategy", "mask_ratio",
-               "seed", "mode", "lr_floor", "flip_augment", "layer_decay",
-               "total_steps"}
+
+def _field_types(cls) -> dict:
+    """Field name -> resolved annotation, read from the dataclass itself."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+_FIELD_TYPES = {"model": _field_types(ModelConfig), "train": _field_types(TrainConfig)}
 _DATA_KEYS = {"count", "seed", "raw_path", "label_count", "eval_count"}
 _ABLATE_KEYS = {"axis", "values", "seeds", "pretrain_clips", "label_clips",
                 "eval_clips", "regime", "pretrain_steps", "finetune_steps"}
@@ -64,8 +69,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 def _validate_keys(cfg: dict[str, str]):
     for key in cfg:
         prefix, _, name = key.partition(".")
-        known = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "data": _DATA_KEYS,
-                 "ablate": _ABLATE_KEYS}.get(prefix)
+        known = {**_FIELD_TYPES, "data": _DATA_KEYS, "ablate": _ABLATE_KEYS}.get(prefix)
         if known is None or name not in known:
             raise ConfigError(f"unknown config key {key!r}")
 
@@ -77,21 +81,40 @@ def _coerce(value: str):
         return value
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a decoded config value fits a config field's annotation."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_has_type(value, h) for h in args)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_has_type, value, args)))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def build_configs(cfg: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dict]:
-    model_kwargs, train_kwargs = {}, {}
+    kwargs = {"model": {}, "train": {}}
     data = dict(_DATA_DEFAULTS)
     for key, raw in cfg.items():
         prefix, _, name = key.partition(".")
         val = _coerce(raw)
-        if prefix == "model":
-            if name == "dims":
+        if key == "model.dims":
+            try:
                 val = tuple(int(x) for x in str(raw).split(",") if x != "")
-            model_kwargs[name] = val
-        elif prefix == "train":
-            train_kwargs[name] = val
+            except ValueError:
+                raise ConfigError(f"{key} expects comma-separated integers, got {raw!r}") from None
+        if prefix in kwargs:
+            hint = _FIELD_TYPES[prefix][name]
+            if not _has_type(val, hint):
+                raise ConfigError(f"{key}={raw!r} does not fit its type {hint}")
+            kwargs[prefix][name] = val
         elif prefix == "data":
             data[name] = val
-    return ModelConfig(**model_kwargs), TrainConfig(**train_kwargs), data
+    return ModelConfig(**kwargs["model"]), TrainConfig(**kwargs["train"]), data
 
 
 def _resolve_out(args) -> str:

@@ -62,7 +62,11 @@ def _generic_mae_params(cfg: ModelConfig, rng):
 
 
 def primitive_checks(seed: int = 0) -> dict[str, float]:
-    """Max relative gradient error per primitive, each through a scalarizer."""
+    """Max relative gradient error per primitive, keyed by the function's name.
+
+    Every public maskvid.tensor function that records onto the tape has an
+    entry; attention_block checks the composed block.
+    """
     rng = np.random.default_rng(seed)
     out: dict[str, float] = {}
 
@@ -72,7 +76,7 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
 
     x = _param(rng, (3, 4), "x")
     y = _param(rng, (4,), "y")
-    out["add_broadcast"] = finite_diff_check(lambda: _sq_mean(tk.add(x.value, y.value)), [x, y])
+    out["add"] = finite_diff_check(lambda: _sq_mean(tk.add(x.value, y.value)), [x, y])
     out["sub"] = finite_diff_check(lambda: _sq_mean(tk.sub(x.value, x.value + y.value)), [x, y])
     out["mul"] = finite_diff_check(lambda: _sq_mean(tk.mul(x.value, y.value)), [x, y])
     out["scale"] = finite_diff_check(lambda: _sq_mean(tk.scale(x.value, -1.7)), [x])
@@ -92,12 +96,24 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     out["reduce_mean"] = finite_diff_check(lambda: tk.reduce_mean(tk.mul(x.value, x.value)), [x])
     out["mean_axis"] = finite_diff_check(lambda: _sq_mean(tk.mean_axis(x.value, axis=-2)), [x])
 
+    # (K,) indices on a 2-d input and (B, K) indices on a batched one
     idx = np.array([0, 2])
-    out["gather_rows"] = finite_diff_check(lambda: _sq_mean(tk.gather_rows(x.value, idx)), [x])
+    bx = _param(rng, (2, 3, 4), "bx")
+    bidx = np.array([[2, 0], [1, 2]])
+    out["gather_rows"] = max(
+        finite_diff_check(lambda: _sq_mean(tk.gather_rows(x.value, idx)), [x]),
+        finite_diff_check(lambda: _sq_mean(tk.gather_rows(bx.value, bidx)), [bx]))
     fill = _param(rng, (4,), "fill")
     vis = _param(rng, (2, 4), "vis")
-    out["scatter_rows"] = finite_diff_check(
-        lambda: _sq_mean(tk.scatter_rows(vis.value, idx, fill.value, 5)), [vis, fill])
+    bvis = _param(rng, (2, 2, 4), "bvis")
+    out["scatter_rows"] = max(
+        finite_diff_check(lambda: _sq_mean(tk.scatter_rows(vis.value, idx, fill.value, 5)),
+                          [vis, fill]),
+        finite_diff_check(lambda: _sq_mean(tk.scatter_rows(bvis.value, bidx, fill.value, 3)),
+                          [bvis, fill]))
+    targets = rng.standard_normal((2, 3, 4))
+    rows = np.array([[True, False, True], [False, True, False]])
+    out["masked_mse"] = finite_diff_check(lambda: tk.masked_mse(bx.value, targets, rows), [bx])
 
     labels = np.array([1, 0, 3])
     out["cross_entropy"] = finite_diff_check(

@@ -1,4 +1,4 @@
-"""Tube / random / frame masking, visible-token extraction, leakage probe.
+"""Tube / random / frame masking and the leakage probe.
 
 All strategies mask an exact count (round-half-up of the ratio times the
 strategy's population) sampled uniformly without replacement, so token counts
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 
 STRATEGIES = ("tube", "random", "frame")
 
@@ -56,14 +56,6 @@ class MaskMap:
     @property
     def visible_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.mask.reshape(-1))
-
-
-@dataclass
-class VisibleSet:
-    """Visible token rows gathered from a grid, with their original flat indices."""
-
-    rows: np.ndarray
-    indices: np.ndarray
 
 
 def _check_ratio(ratio: float):
@@ -117,16 +109,6 @@ def make_mask(strategy: str, dims: tuple[int, int], ratio: float, rng) -> MaskMa
     if strategy == "frame":
         return frame_mask(dims, ratio, rng)
     raise ConfigError(f"unknown masking strategy {strategy!r}")
-
-
-def apply_mask(tokens: np.ndarray, mask: MaskMap) -> VisibleSet:
-    """Gather visible rows (ascending flat index) from a (T'*S, D) token matrix."""
-    if tokens.shape[0] != mask.mask.size:
-        raise DimensionError(
-            f"{tokens.shape[0]} token rows vs mask over {mask.mask.size} positions"
-        )
-    idx = mask.visible_indices
-    return VisibleSet(tokens[idx], idx)
 
 
 def leakage_probe(mask: MaskMap) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tk
 from .errors import ConfigError, ContractError, DimensionError
-from .masking import MaskMap, apply_mask
+from .masking import MaskMap
 from .tensor import Param, Tensor
 from .video import CUBE_WIDTH, CubeGrid, TargetCubes, VideoClip, cubify, normalize_cube_targets
 
@@ -223,37 +223,30 @@ class MAEOutput:
 
 
 def mae_forward(clip: VideoClip, mask: MaskMap, params: MAEParams) -> MAEOutput:
-    """cubify -> embed -> pos -> gather visible -> encode -> decode."""
+    """One clip through mae_forward_batch as a batch of one."""
     grid = cubify(clip)
     cfg = params.config
     if grid.dims != cfg.dims:
         raise DimensionError(f"clip grid {grid.dims} != model grid {cfg.dims}")
     if mask.dims != (cfg.dims[0], cfg.spatial_sites):
         raise DimensionError(f"mask dims {mask.dims} != grid {(cfg.dims[0], cfg.spatial_sites)}")
-    tokens = Tensor(grid.tokens.astype(params.pos_enc.dtype))
-    embedded = add_pos_embed(cube_embed(tokens, params), params.pos_enc)
-    visible = tk.gather_rows(embedded, mask.visible_indices)
-    encoded = encode(visible, params)
-    pred = decode(encoded, mask.visible_indices, params)
-    targets = normalize_cube_targets(grid)
-    return MAEOutput(pred, mask.masked_indices, targets)
+    tokens = grid.tokens[None].astype(params.pos_enc.dtype)
+    pred = mae_forward_batch(tokens, mask.visible_indices[None], params)
+    pred = tk.reshape(pred, (cfg.n_tokens, CUBE_WIDTH))
+    return MAEOutput(pred, mask.masked_indices, normalize_cube_targets(grid))
 
 
 def mae_forward_batch(grids: np.ndarray, visible_indices: np.ndarray,
                       params: MAEParams) -> Tensor:
-    """Batched pre-training forward: (B, N, 1536) grids, (B, N_vis) indices."""
+    """cube_embed -> pos -> gather visible -> encode -> decode.
+
+    grids is (B, N, 1536), visible_indices (B, N_vis); returns (B, N, 1536).
+    """
     tokens = Tensor(grids)
     embedded = tk.add(cube_embed(tokens, params), Tensor(params.pos_enc))
     visible = tk.gather_rows(embedded, visible_indices)
     encoded = encode(visible, params)
     return decode(encoded, visible_indices, params)
-
-
-def encode_tokens(grids: np.ndarray, params: MAEParams) -> Tensor:
-    """Full-grid (unmasked) encoding used by classification."""
-    tokens = Tensor(grids)
-    embedded = tk.add(cube_embed(tokens, params), Tensor(params.pos_enc))
-    return encode(embedded, params)
 
 
 def classify(clips, params: MAEParams, head: dict[str, Param]) -> Tensor:
@@ -264,7 +257,8 @@ def classify(clips, params: MAEParams, head: dict[str, Param]) -> Tensor:
     single = isinstance(clips, VideoClip)
     clip_list = [clips] if single else list(clips)
     grids = np.stack([cubify(c).tokens for c in clip_list]).astype(params.pos_enc.dtype)
-    encoded = encode_tokens(grids, params)
+    embedded = tk.add(cube_embed(Tensor(grids), params), Tensor(params.pos_enc))
+    encoded = encode(embedded, params)
     pooled = tk.mean_axis(encoded, axis=-2)
     normed = tk.layer_norm(pooled, head["head/norm/g"].value, head["head/norm/b"].value)
     logits = tk.add(tk.matmul(normed, head["head/w"].value), head["head/b"].value)

@@ -188,11 +188,6 @@ class Tape:
                     inp.accumulate_grad(gi)
 
 
-def backward(tape: Tape, loss: Tensor):
-    """Free-function alias for Tape.backward."""
-    tape.backward(loss)
-
-
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     tape = _ACTIVE_TAPE
     if tape is not None and any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
@@ -387,79 +382,76 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
 
 # -- gather / scatter --------------------------------------------------------
 
-def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows along axis -2. indices is (K,) for 2-d x or (B, K) for 3-d x."""
+def _row_index(x: Tensor, indices: np.ndarray, name: str) -> np.ndarray:
+    """indices as an axis -2 index array for take/put_along_axis on x."""
     idx = np.asarray(indices)
-    if x.data.ndim == 2:
-        if idx.ndim != 1:
-            raise DimensionError(f"expected 1-d indices for 2-d input, got {idx.shape}")
-        out = Tensor(x.data[idx])
+    if idx.shape[:-1] != x.shape[:-2] or idx.ndim != x.data.ndim - 1:
+        raise DimensionError(
+            f"{name} expects indices {x.shape[:-2] + ('K',)} for input {x.shape}, got {idx.shape}"
+        )
+    return idx[..., None]
 
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            return (gx,)
 
-    elif x.data.ndim == 3:
-        if idx.ndim != 2 or idx.shape[0] != x.shape[0]:
-            raise DimensionError(
-                f"expected indices ({x.shape[0]}, K) for input {x.shape}, got {idx.shape}"
-            )
-        batch = np.arange(x.shape[0])[:, None]
-        out = Tensor(x.data[batch, idx])
+def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
+    """Select rows along axis -2; indices is x.shape[:-2] + (K,), unique along K."""
+    idx = _row_index(x, indices, "gather_rows")
+    out = Tensor(np.take_along_axis(x.data, idx, axis=-2))
 
-        def bwd(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, (batch, idx), g)
-            return (gx,)
+    def bwd(g):
+        # unique indices: the scatter that undoes the gather is an assignment
+        gx = np.zeros_like(x.data)
+        np.put_along_axis(gx, idx, g, axis=-2)
+        return (gx,)
 
-    else:
-        raise DimensionError(f"gather_rows supports 2-d or 3-d input, got {x.shape}")
     return _record(out, (x,), bwd)
 
 
 def scatter_rows(visible: Tensor, indices: np.ndarray, fill: Tensor, n_rows: int) -> Tensor:
     """Place visible rows at `indices` along axis -2; every other row is `fill`.
 
-    fill is a single vector of width visible.shape[-1] (the learnable mask
-    token); its gradient is the sum over all filled positions.
+    indices is visible.shape[:-1], unique along its last axis. fill is a
+    single vector of width visible.shape[-1] (the learnable mask token); its
+    gradient is the sum over all filled positions.
     """
-    idx = np.asarray(indices)
+    idx = _row_index(visible, indices, "scatter_rows")
     d = visible.shape[-1]
     if fill.shape != (d,):
         raise DimensionError(f"fill vector width {fill.shape} != row width {d}")
-    two_d = visible.data.ndim == 2
-    if two_d:
-        if idx.ndim != 1:
-            raise DimensionError(f"expected 1-d indices for 2-d input, got {idx.shape}")
-        data = np.broadcast_to(fill.data, (n_rows, d)).copy()
-        data[idx] = visible.data
-    elif visible.data.ndim == 3:
-        if idx.ndim != 2 or idx.shape[0] != visible.shape[0]:
-            raise DimensionError(
-                f"expected indices ({visible.shape[0]}, K) for input {visible.shape}, got {idx.shape}"
-            )
-        b = visible.shape[0]
-        data = np.broadcast_to(fill.data, (b, n_rows, d)).copy()
-        batch = np.arange(b)[:, None]
-        data[batch, idx] = visible.data
-    else:
-        raise DimensionError(f"scatter_rows supports 2-d or 3-d input, got {visible.shape}")
+    data = np.broadcast_to(fill.data, visible.shape[:-2] + (n_rows, d)).copy()
+    np.put_along_axis(data, idx, visible.data, axis=-2)
     out = Tensor(data)
+    lead = tuple(range(visible.data.ndim - 1))
 
     def bwd(g):
-        if two_d:
-            gvis = g[idx]
-            total = g.sum(axis=0)
-            at_idx = gvis.sum(axis=0)
-        else:
-            batch = np.arange(visible.shape[0])[:, None]
-            gvis = g[batch, idx]
-            total = g.sum(axis=(0, 1))
-            at_idx = gvis.sum(axis=(0, 1))
-        return gvis, total - at_idx
+        gvis = np.take_along_axis(g, idx, axis=-2)
+        return gvis, g.sum(axis=lead) - gvis.sum(axis=lead)
 
     return _record(out, (visible, fill), bwd)
+
+
+def masked_mse(pred: Tensor, targets: np.ndarray, rows: np.ndarray) -> Tensor:
+    """Mean of (pred - targets)**2 over the rows of pred selected by `rows`.
+
+    rows is a boolean over pred's leading axes; targets has pred's shape and
+    is cast to pred's dtype. Unselected rows get zero gradient.
+    """
+    sel = np.asarray(rows, dtype=bool)
+    if sel.shape != pred.shape[:-1] or targets.shape != pred.shape:
+        raise DimensionError(
+            f"masked_mse: pred {pred.shape}, targets {targets.shape}, rows {sel.shape}"
+        )
+    diff = pred.data[sel] - targets[sel].astype(pred.dtype)
+    n = diff.size
+    if n == 0:
+        raise ContractError("masked_mse needs at least one selected row")
+    out = Tensor(np.array([(diff * diff).mean()], dtype=pred.dtype))
+
+    def bwd(g):
+        gx = np.zeros_like(pred.data)
+        gx[sel] = g.reshape(-1)[0] / n * diff * 2
+        return (gx,)
+
+    return _record(out, (pred,), bwd)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -565,26 +557,6 @@ def attention_block(tokens: Tensor, params: dict, name: str, heads: int) -> Tens
     m = gelu(add(matmul(y2, p("w1")), p("b1")))
     m = add(matmul(m, p("w2")), p("b2"))
     return add(h, m)
-
-
-def attention_probs(tokens: np.ndarray, params: dict, name: str, heads: int) -> np.ndarray:
-    """Forward-only attention weights (heads, N, N) for inspection/tests."""
-    d = tokens.shape[-1]
-    dh = d // heads
-
-    def p(key):
-        return params[f"{name}/{key}"].value.data
-
-    mu = tokens.mean(-1, keepdims=True)
-    xc = tokens - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    y = xc / np.sqrt(var + 1e-6) * p("ln1/g") + p("ln1/b")
-    q = (y @ p("wq") + p("bq")).reshape(-1, heads, dh).transpose(1, 0, 2)
-    k = (y @ p("wk") + p("bk")).reshape(-1, heads, dh).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) / math.sqrt(dh)
-    scores -= scores.max(-1, keepdims=True)
-    e = np.exp(scores)
-    return e / e.sum(-1, keepdims=True)
 
 
 # -- gradient checking --------------------------------------------------------

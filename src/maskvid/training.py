@@ -6,13 +6,13 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import tensor as tk
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
-from .masking import make_mask
+from .masking import MaskMap, make_mask
 from .model import (MAEParams, ModelConfig, classify, init_head_params,
                     init_mae_params, mae_forward_batch)
 from .tensor import Param, Tape, Tensor
@@ -62,40 +62,22 @@ class TrainConfig:
         return warmup, total
 
 
-def pretrain_config(**overrides) -> TrainConfig:
-    return TrainConfig(**{"mode": "pretrain", "beta2": 0.95, **overrides})
-
-
-def finetune_config(**overrides) -> TrainConfig:
-    return TrainConfig(**{"mode": "finetune", "beta2": 0.999, "base_lr": 1e-3, **overrides})
-
-
 # -- loss ---------------------------------------------------------------------
 
 def masked_mse_loss(pred: Tensor, targets, mask) -> Tensor:
     """Mean squared error over masked tokens only, averaged per pixel entry.
 
-    pred is (N, C) (or (B, N, C) with per-sample masks); targets supplies the
-    normalized cube values; visible tokens contribute nothing.
+    pred is (N, C) with one MaskMap, or (B, N, C) with a list of B masks;
+    targets supplies the normalized cube values; visible tokens contribute
+    nothing.
     """
     values = targets.values if isinstance(targets, TargetCubes) else np.asarray(targets)
-    if pred.data.ndim == 2:
-        omega = mask.masked_indices
-        if omega.size == 0:
-            raise ContractError("masked_mse_loss needs at least one masked token")
-        if pred.shape[0] != mask.mask.size or values.shape != pred.shape:
-            raise ContractError(
-                f"pred {pred.shape}, targets {values.shape}, mask over {mask.mask.size}"
-            )
-        target_rows = values[omega]
-    else:
-        omega = np.stack([m.masked_indices for m in mask])
-        if omega.shape[1] == 0:
-            raise ContractError("masked_mse_loss needs at least one masked token")
-        batch = np.arange(pred.shape[0])[:, None]
-        target_rows = values[batch, omega]
-    diff = tk.sub(tk.gather_rows(pred, omega), Tensor(target_rows.astype(pred.dtype)))
-    return tk.reduce_mean(tk.mul(diff, diff))
+    masks = [mask] if isinstance(mask, MaskMap) else mask
+    rows = np.stack([m.mask.reshape(-1) for m in masks])
+    lead = pred.shape[:-1]
+    if rows.shape != (math.prod(lead[:-1]), lead[-1]):
+        raise ContractError(f"pred {pred.shape} vs {rows.shape[0]} masks over {rows.shape[1]}")
+    return tk.masked_mse(pred, values, rows.reshape(lead))
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -191,14 +173,9 @@ class Checkpoint:
 
 def snapshot_config(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict[str, str]:
     snap = {}
-    for key in ("dims", "d_enc", "depth_enc", "heads_enc", "d_dec", "depth_dec",
-                "heads_dec", "mlp_ratio", "num_classes"):
-        snap[f"model.{key}"] = json.dumps(getattr(model_cfg, key))
-    for key in ("base_lr", "batch_size", "warmup_epochs", "total_epochs",
-                "weight_decay", "beta1", "beta2", "mask_strategy", "mask_ratio",
-                "seed", "mode", "lr_floor", "flip_augment", "layer_decay",
-                "total_steps"):
-        snap[f"train.{key}"] = json.dumps(getattr(train_cfg, key))
+    for prefix, cfg in (("model", model_cfg), ("train", train_cfg)):
+        for f in fields(cfg):
+            snap[f"{prefix}.{f.name}"] = json.dumps(getattr(cfg, f.name))
     return snap
 
 
@@ -487,11 +464,23 @@ def finetune(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds,
 
 def linear_probe(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds,
                  config: TrainConfig) -> EvalResult:
-    """Train only the classification head on a frozen encoder."""
+    """Train only the classification head on a frozen encoder.
+
+    The encoder's parameters stop requiring gradients while the probe runs,
+    so the tape records none of the encoder's ops: only the head is
+    differentiated, and the encoder's gradients are left as they were.
+    """
     params = (params_from_checkpoint(checkpoint)
               if isinstance(checkpoint, Checkpoint) else checkpoint)
     _check_geometry(params, train_ds)
-    return _supervised_loop(params, train_ds, eval_ds, config, trainable=[])
+    encoder = params.encoder_params()
+    for p in encoder:
+        p.value.requires_grad = False
+    try:
+        return _supervised_loop(params, train_ds, eval_ds, config, trainable=[])
+    finally:
+        for p in encoder:
+            p.value.requires_grad = True
 
 
 def _check_geometry(params: MAEParams, dataset):

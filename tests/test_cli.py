@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-BASE = ["python3", "-m", "maskvid.cli"]
+BASE = [sys.executable, "-m", "maskvid.cli"]
+
+pytestmark = pytest.mark.usefixtures("src_on_child_pythonpath")
 
 TINY_MODEL = ["--set", "model.d_enc=16", "--set", "model.heads_enc=2",
               "--set", "model.depth_enc=1", "--set", "model.d_dec=8",
@@ -64,6 +66,16 @@ def test_config_file_parsing(tmp_path):
     assert res.returncode == 0, res.stderr + res.stdout
     trace = (out / "loss.csv").read_text().strip().splitlines()
     assert len(trace) == 3  # header + 2 steps
+
+
+@pytest.mark.parametrize("override", ["model.d_enc=abc", "model.dims=8,x,4",
+                                      "train.flip_augment=1"])
+def test_badly_typed_config_value_exits_one_without_traceback(tmp_path, override):
+    res = run_cli(["pretrain", "--set", override], tmp_path)
+    assert res.returncode == 1
+    assert "event=config_error" in res.stdout
+    assert override.split("=")[0] in res.stdout
+    assert "Traceback" not in res.stderr
 
 
 def test_malformed_config_line_exits_one(tmp_path):

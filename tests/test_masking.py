@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskvid.errors import ConfigError
-from maskvid.masking import (MaskMap, apply_mask, frame_mask, leakage_probe,
-                             make_mask, mask_to_text, random_mask, tube_mask)
+from maskvid.masking import (MaskMap, frame_mask, leakage_probe, make_mask,
+                             mask_to_text, random_mask, tube_mask)
 
 FULL_DIMS = (8, 196)  # full-scale token grid: 8 temporal slices x 14x14 sites
 
@@ -84,20 +84,12 @@ def test_mask_counts_property(seed, strategy, ratio):
     assert m.n_masked + m.n_visible == t * s
 
 
-# -- indices and application --------------------------------------------------
+# -- indices ------------------------------------------------------------------
 
 def test_masked_and_visible_indices_partition_the_grid():
     m = make_mask("random", (4, 9), 0.6, 3)
     combined = np.sort(np.concatenate([m.masked_indices, m.visible_indices]))
     np.testing.assert_array_equal(combined, np.arange(36))
-
-
-def test_apply_mask_returns_visible_rows_in_order():
-    tokens = np.arange(8 * 3, dtype=np.float32).reshape(8, 3)
-    m = make_mask("random", (2, 4), 0.5, 0)
-    vis = apply_mask(tokens, m)
-    np.testing.assert_array_equal(vis.rows, tokens[m.visible_indices])
-    np.testing.assert_array_equal(vis.indices, m.visible_indices)
 
 
 # -- leakage ------------------------------------------------------------------

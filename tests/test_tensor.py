@@ -1,5 +1,6 @@
 """Unit tests for the reverse-mode autodiff kernels."""
 
+import inspect
 import math
 
 import numpy as np
@@ -99,6 +100,13 @@ def test_gather_rows_picks_requested_rows():
     x = Tensor(np.arange(12.0).reshape(4, 3))
     out = tk.gather_rows(x, np.array([2, 0]))
     np.testing.assert_array_equal(out.data, [[6, 7, 8], [0, 1, 2]])
+    # batched: (B, K) indices pick per-sample rows
+    bx = Tensor(np.arange(24.0).reshape(2, 4, 3))
+    out = tk.gather_rows(bx, np.array([[2, 0], [1, 3]]))
+    np.testing.assert_array_equal(
+        out.data, [[[6, 7, 8], [0, 1, 2]], [[15, 16, 17], [21, 22, 23]]])
+    with pytest.raises(DimensionError):
+        tk.gather_rows(bx, np.array([2, 0]))
 
 
 def test_scatter_rows_places_visible_and_fills_rest():
@@ -107,6 +115,49 @@ def test_scatter_rows_places_visible_and_fills_rest():
     out = tk.scatter_rows(vis, np.array([3, 1]), fill, 4)
     np.testing.assert_array_equal(
         out.data, [[9, 9], [2, 2], [9, 9], [1, 1]])
+    # batched: (B, K) indices place each sample's rows in its own grid
+    bvis = Tensor(np.array([[[1.0, 1.0]], [[2.0, 2.0]]]))
+    out = tk.scatter_rows(bvis, np.array([[2], [0]]), fill, 3)
+    np.testing.assert_array_equal(
+        out.data, [[[9, 9], [9, 9], [1, 1]], [[2, 2], [9, 9], [9, 9]]])
+    with pytest.raises(DimensionError):
+        tk.scatter_rows(bvis, np.array([2, 0]), fill, 3)
+
+
+def test_masked_mse_equals_composed_chain_bitwise():
+    """One fused op, same bits as gather_rows -> sub -> mul -> reduce_mean."""
+    rng = np.random.default_rng(5)
+    for dtype, shape in ((np.float32, (3, 10, 6)), (np.float64, (10, 6)),
+                         (np.float32, (4, 200, 1536))):
+        pred = Param(rng.standard_normal(shape), "pred", dtype=dtype)
+        targets = rng.standard_normal(shape)
+        # a random permutation per leading index, first half-plus-one kept
+        n = shape[-2]
+        masked = np.sort(rng.random(shape[:-1]).argsort(axis=-1)[..., :n // 2 + 1], axis=-1)
+        rows = np.zeros(shape[:-1], dtype=bool)
+        np.put_along_axis(rows, masked, True, axis=-1)
+        target_rows = np.take_along_axis(targets, masked[..., None], axis=-2)
+
+        def chain():
+            diff = tk.sub(tk.gather_rows(pred.value, masked),
+                          Tensor(target_rows.astype(dtype)))
+            return tk.reduce_mean(tk.mul(diff, diff))
+
+        want_grad, = _grad_of(chain, [pred])
+        got_grad, = _grad_of(lambda: tk.masked_mse(pred.value, targets, rows), [pred])
+        want = chain().data
+        got = tk.masked_mse(pred.value, targets, rows).data
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+
+def test_every_recording_primitive_has_a_gradient_check():
+    from maskvid.gradsuite import primitive_checks
+    recording = {name for name, fn in vars(tk).items()
+                 if inspect.isfunction(fn) and not name.startswith("_")
+                 and fn.__module__ == tk.__name__ and "_record" in fn.__code__.co_names}
+    assert {"matmul", "gather_rows", "scatter_rows", "masked_mse"} <= recording
+    assert recording <= set(primitive_checks())
 
 
 def test_cross_entropy_uniform_logits_is_log_k():

@@ -280,6 +280,19 @@ def test_linear_probe_leaves_encoder_bitwise_unchanged():
         np.testing.assert_array_equal(params[n].value.data, before[n])
 
 
+def test_linear_probe_leaves_encoder_gradients_zero():
+    cfg = _tiny_cfg_64()
+    params = init_mae_params(cfg, seed=0)
+    ds = synth_moving_sprites(seed=0, count=4, noise_level=0.0)
+    probe_cfg = TrainConfig(mode="probe", base_lr=0.1, batch_size=2,
+                            total_steps=3, seed=0)
+    result = linear_probe(params, ds, ds, probe_cfg)
+    for p in params.encoder_params():
+        assert not p.grad.any(), p.name
+        assert p.value.requires_grad
+    assert any(p.grad.any() for p in result.head.values())
+
+
 def test_finetune_moves_encoder_weights():
     cfg = _tiny_cfg_64()
     params = init_mae_params(cfg, seed=0)
