@@ -102,7 +102,9 @@ def build_configs(cfg: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dict]:
     for key, raw in cfg.items():
         prefix, _, name = key.partition(".")
         val = _coerce(raw)
-        if key == "model.dims":
+        if key == "model.dims" and isinstance(val, list):
+            val = tuple(val)  # the JSON form snapshot_config writes: [8, 4, 4]
+        elif key == "model.dims":
             try:
                 val = tuple(int(x) for x in str(raw).split(",") if x != "")
             except ValueError:

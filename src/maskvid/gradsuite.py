@@ -72,7 +72,11 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
 
     a = _param(rng, (3, 4), "a")
     b = _param(rng, (4, 2), "b")
-    out["matmul"] = finite_diff_check(lambda: _sq_mean(tk.matmul(a.value, b.value)), [a, b])
+    # and with a constant batched left operand, as cube_embed's raw cubes
+    cubes = Tensor(rng.standard_normal((2, 3, 4)))
+    out["matmul"] = max(
+        finite_diff_check(lambda: _sq_mean(tk.matmul(a.value, b.value)), [a, b]),
+        finite_diff_check(lambda: _sq_mean(tk.matmul(cubes, b.value)), [b]))
 
     x = _param(rng, (3, 4), "x")
     y = _param(rng, (4,), "y")
@@ -111,9 +115,11 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
                           [vis, fill]),
         finite_diff_check(lambda: _sq_mean(tk.scatter_rows(bvis.value, bidx, fill.value, 3)),
                           [bvis, fill]))
+    out["add_row_bias"] = finite_diff_check(
+        lambda: _sq_mean(tk.add_row_bias(bx.value, y.value, np.array([[4, 0, 2], [1, 2, 3]]))),
+        [bx, y])
     targets = rng.standard_normal((2, 3, 4))
-    rows = np.array([[True, False, True], [False, True, False]])
-    out["masked_mse"] = finite_diff_check(lambda: tk.masked_mse(bx.value, targets, rows), [bx])
+    out["mse"] = finite_diff_check(lambda: tk.mse(bx.value, targets), [bx])
 
     labels = np.array([1, 0, 3])
     out["cross_entropy"] = finite_diff_check(

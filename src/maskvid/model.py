@@ -1,8 +1,9 @@
 """Asymmetric encoder-decoder over cube tokens.
 
-The encoder sees only visible tokens; the decoder sees the full grid with a
-shared learnable token filling masked positions. Positional information is a
-fixed 3D separable sin/cos table added before gathering (encoder) and after
+The encoder embeds and sees only visible cubes; the decoder sees the full grid
+with a shared learnable token filling masked positions, and projects to pixels
+only the rows its caller asks for. Positional information is a fixed 3D
+separable sin/cos table added to the embedded visible cubes (encoder) and after
 scattering (decoder).
 """
 
@@ -184,13 +185,24 @@ def init_head_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> di
 
 # -- forward pieces -----------------------------------------------------------
 
-def cube_embed(tokens: Tensor, params: MAEParams) -> Tensor:
-    """Shared linear projection of raw cube rows to encoder width."""
+def _add_bias(x: Tensor, bias: Param, rows: np.ndarray | None) -> Tensor:
+    """x + bias; rows, if given, are the grid positions of x's rows."""
+    if rows is None:
+        return tk.add(x, bias.value)
+    return tk.add_row_bias(x, bias.value, rows)
+
+
+def cube_embed(tokens: Tensor, params: MAEParams, rows: np.ndarray | None = None) -> Tensor:
+    """Shared linear projection of raw cube rows to encoder width.
+
+    tokens is the whole grid, or the grid rows `rows` (tokens.shape[:-1]) of
+    it; the bias gradient is then summed in grid order (tk.add_row_bias).
+    """
     if tokens.shape[-1] != params["embed/w"].value.shape[0]:
         raise DimensionError(
             f"cube width {tokens.shape[-1]} != embedding input {params['embed/w'].value.shape[0]}"
         )
-    return tk.add(tk.matmul(tokens, params["embed/w"].value), params["embed/b"].value)
+    return _add_bias(tk.matmul(tokens, params["embed/w"].value), params["embed/b"], rows)
 
 
 def encode(visible: Tensor, params: MAEParams) -> Tensor:
@@ -203,8 +215,13 @@ def encode(visible: Tensor, params: MAEParams) -> Tensor:
     return tk.layer_norm(x, params["enc/norm/g"].value, params["enc/norm/b"].value)
 
 
-def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams) -> Tensor:
-    """Project to decoder width, scatter with mask tokens, run decoder, project to pixels."""
+def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
+           rows: np.ndarray | None = None) -> Tensor:
+    """Project to decoder width, scatter with mask tokens, run decoder, project to pixels.
+
+    Every grid row is projected to pixels, or only the rows `rows`
+    (encoded.shape[:-2] + (K,), unique along K) when given.
+    """
     cfg = params.config
     x = tk.add(tk.matmul(encoded, params["enc2dec/w"].value), params["enc2dec/b"].value)
     x = tk.scatter_rows(x, visible_indices, params["mask_token"].value, cfg.n_tokens)
@@ -212,7 +229,9 @@ def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams) -> T
     for i in range(cfg.depth_dec):
         x = tk.attention_block(x, params.params, f"dec/block{i}", cfg.heads_dec)
     x = tk.layer_norm(x, params["dec/norm/g"].value, params["dec/norm/b"].value)
-    return tk.add(tk.matmul(x, params["out/w"].value), params["out/b"].value)
+    if rows is not None:
+        x = tk.gather_rows(x, rows)
+    return _add_bias(tk.matmul(x, params["out/w"].value), params["out/b"], rows)
 
 
 @dataclass
@@ -237,16 +256,18 @@ def mae_forward(clip: VideoClip, mask: MaskMap, params: MAEParams) -> MAEOutput:
 
 
 def mae_forward_batch(grids: np.ndarray, visible_indices: np.ndarray,
-                      params: MAEParams) -> Tensor:
-    """cube_embed -> pos -> gather visible -> encode -> decode.
+                      params: MAEParams, rows: np.ndarray | None = None) -> Tensor:
+    """gather visible cubes -> cube_embed -> pos -> encode -> decode.
 
-    grids is (B, N, 1536), visible_indices (B, N_vis); returns (B, N, 1536).
+    grids is (B, N, 1536), visible_indices (B, N_vis). Returns the pixel
+    predictions of every grid row, (B, N, 1536), or of the grid rows `rows`
+    (B, K) only, (B, K, 1536).
     """
-    tokens = Tensor(grids)
-    embedded = tk.add(cube_embed(tokens, params), Tensor(params.pos_enc))
-    visible = tk.gather_rows(embedded, visible_indices)
-    encoded = encode(visible, params)
-    return decode(encoded, visible_indices, params)
+    tokens = tk.gather_rows(Tensor(grids), visible_indices)
+    embedded = tk.add(cube_embed(tokens, params, visible_indices),
+                      Tensor(params.pos_enc[visible_indices]))
+    encoded = encode(embedded, params)
+    return decode(encoded, visible_indices, params, rows)
 
 
 def classify(clips, params: MAEParams, head: dict[str, Param]) -> Tensor:

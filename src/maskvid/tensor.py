@@ -268,9 +268,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.matmul(a.data, b.data))
 
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        # an operand that needs no gradient (raw cube tokens, a frozen
+        # weight) gets none computed
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        return ga, gb
 
     return _record(out, (a, b), bwd)
 
@@ -382,25 +387,30 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
 
 # -- gather / scatter --------------------------------------------------------
 
-def _row_index(x: Tensor, indices: np.ndarray, name: str) -> np.ndarray:
-    """indices as an axis -2 index array for take/put_along_axis on x."""
+def _row_index(x: Tensor, indices: np.ndarray, name: str) -> tuple:
+    """An advanced index that picks rows `indices` along axis -2 of x.
+
+    Plain advanced indexing: np.take_along_axis/put_along_axis are an order
+    of magnitude slower on (B, N, 1536) pixel arrays.
+    """
     idx = np.asarray(indices)
     if idx.shape[:-1] != x.shape[:-2] or idx.ndim != x.data.ndim - 1:
         raise DimensionError(
             f"{name} expects indices {x.shape[:-2] + ('K',)} for input {x.shape}, got {idx.shape}"
         )
-    return idx[..., None]
+    lead = np.indices(idx.shape[:-1], sparse=True)
+    return tuple(a[..., None] for a in lead) + (idx,)
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
     """Select rows along axis -2; indices is x.shape[:-2] + (K,), unique along K."""
-    idx = _row_index(x, indices, "gather_rows")
-    out = Tensor(np.take_along_axis(x.data, idx, axis=-2))
+    ix = _row_index(x, indices, "gather_rows")
+    out = Tensor(x.data[ix])
 
     def bwd(g):
         # unique indices: the scatter that undoes the gather is an assignment
         gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx, g, axis=-2)
+        gx[ix] = g
         return (gx,)
 
     return _record(out, (x,), bwd)
@@ -413,43 +423,61 @@ def scatter_rows(visible: Tensor, indices: np.ndarray, fill: Tensor, n_rows: int
     single vector of width visible.shape[-1] (the learnable mask token); its
     gradient is the sum over all filled positions.
     """
-    idx = _row_index(visible, indices, "scatter_rows")
+    ix = _row_index(visible, indices, "scatter_rows")
     d = visible.shape[-1]
     if fill.shape != (d,):
         raise DimensionError(f"fill vector width {fill.shape} != row width {d}")
     data = np.broadcast_to(fill.data, visible.shape[:-2] + (n_rows, d)).copy()
-    np.put_along_axis(data, idx, visible.data, axis=-2)
+    data[ix] = visible.data
     out = Tensor(data)
     lead = tuple(range(visible.data.ndim - 1))
 
     def bwd(g):
-        gvis = np.take_along_axis(g, idx, axis=-2)
+        gvis = g[ix]
         return gvis, g.sum(axis=lead) - gvis.sum(axis=lead)
 
     return _record(out, (visible, fill), bwd)
 
 
-def masked_mse(pred: Tensor, targets: np.ndarray, rows: np.ndarray) -> Tensor:
-    """Mean of (pred - targets)**2 over the rows of pred selected by `rows`.
+def add_row_bias(x: Tensor, bias: Tensor, rows: np.ndarray) -> Tensor:
+    """x + bias, where x holds the grid rows `rows` (x.shape[:-1], unique along
+    the last axis) of a larger token grid.
 
-    rows is a boolean over pred's leading axes; targets has pred's shape and
-    is cast to pred's dtype. Unselected rows get zero gradient.
+    The bias gradient is summed as add() over the whole grid would sum it:
+    per grid row over the leading axes first, then over grid rows in
+    ascending order. Adding a bias to a row subset thus leaves its gradient
+    bitwise that of the full grid, whose other rows contribute exact zeros.
     """
-    sel = np.asarray(rows, dtype=bool)
-    if sel.shape != pred.shape[:-1] or targets.shape != pred.shape:
-        raise DimensionError(
-            f"masked_mse: pred {pred.shape}, targets {targets.shape}, rows {sel.shape}"
-        )
-    diff = pred.data[sel] - targets[sel].astype(pred.dtype)
+    idx = np.asarray(rows)
+    d = x.shape[-1]
+    if x.data.ndim < 2 or idx.shape != x.shape[:-1] or bias.shape != (d,):
+        raise DimensionError(f"add_row_bias: x {x.shape}, bias {bias.shape}, rows {idx.shape}")
+    out = Tensor(x.data + bias.data)
+
+    def bwd(g):
+        flat_g, flat_rows = g.reshape(-1, idx.shape[-1], d), idx.reshape(-1, idx.shape[-1])
+        per_row = np.zeros((int(flat_rows.max(initial=0)) + 1, d), dtype=g.dtype)
+        for gi, ri in zip(flat_g, flat_rows):
+            per_row[ri] += gi
+        return g, per_row.sum(axis=0)
+
+    return _record(out, (x, bias), bwd)
+
+
+def mse(pred: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean of (pred - targets)**2 over every entry; targets is cast to pred's dtype."""
+    if targets.shape != pred.shape:
+        raise DimensionError(f"mse: pred {pred.shape} vs targets {targets.shape}")
+    if pred.size == 0:
+        raise ContractError("mse needs at least one entry")
+    diff = pred.data - targets.astype(pred.dtype, copy=False)
     n = diff.size
-    if n == 0:
-        raise ContractError("masked_mse needs at least one selected row")
     out = Tensor(np.array([(diff * diff).mean()], dtype=pred.dtype))
 
     def bwd(g):
-        gx = np.zeros_like(pred.data)
-        gx[sel] = g.reshape(-1)[0] / n * diff * 2
-        return (gx,)
+        gp = diff * (g.reshape(-1)[0] / n)
+        gp *= 2
+        return (gp,)
 
     return _record(out, (pred,), bwd)
 

@@ -69,15 +69,18 @@ def masked_mse_loss(pred: Tensor, targets, mask) -> Tensor:
 
     pred is (N, C) with one MaskMap, or (B, N, C) with a list of B masks;
     targets supplies the normalized cube values; visible tokens contribute
-    nothing.
+    nothing. Pretraining computes the same loss without the visible rows:
+    it decodes only the masked rows and scores them with tk.mse.
     """
     values = targets.values if isinstance(targets, TargetCubes) else np.asarray(targets)
     masks = [mask] if isinstance(mask, MaskMap) else mask
-    rows = np.stack([m.mask.reshape(-1) for m in masks])
     lead = pred.shape[:-1]
-    if rows.shape != (math.prod(lead[:-1]), lead[-1]):
-        raise ContractError(f"pred {pred.shape} vs {rows.shape[0]} masks over {rows.shape[1]}")
-    return tk.masked_mse(pred, values, rows.reshape(lead))
+    if (len(masks) != math.prod(lead[:-1]) or any(m.mask.size != lead[-1] for m in masks)
+            or len({m.n_masked for m in masks}) > 1):
+        raise ContractError(
+            f"pred {pred.shape} vs {len(masks)} masks (each over {lead[-1]} rows, equally many hidden)")
+    rows = np.stack([m.masked_indices for m in masks]).reshape(lead[:-1] + (-1,))
+    return tk.mse(tk.gather_rows(pred, rows), tk.gather_rows(Tensor(values), rows).data)
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -345,10 +348,13 @@ def pretrain(config: TrainConfig, dataset, params: MAEParams | None = None,
     if params is None:
         params = init_mae_params(model_cfg, seed=config.seed)
 
+    n = len(dataset)
     grids, targets = _clip_grids(dataset)
     if config.flip_augment:
+        # clip i mirrored is entry n + i
         flipped = [_flip_clip(item[0] if isinstance(item, tuple) else item) for item in dataset]
         fgrids, ftargets = _clip_grids(flipped)
+        grids, targets = np.concatenate([grids, fgrids]), np.concatenate([targets, ftargets])
 
     mask_dims = (model_cfg.dims[0], model_cfg.spatial_sites)
     warmup, total = config.step_budget(len(dataset))
@@ -366,24 +372,20 @@ def pretrain(config: TrainConfig, dataset, params: MAEParams | None = None,
 
     end = total if stop_step is None else min(total, stop_step)
     trace = []
-    n = len(dataset)
     for step in range(start_step, end):
         lr = cosine_warmup_lr(step, warmup, total, peak, config.lr_floor)
         idx = rng.choice(n, size=config.batch_size, replace=n < config.batch_size)
         masks = [make_mask(config.mask_strategy, mask_dims, config.mask_ratio, rng)
                  for _ in idx]
         if config.flip_augment:
-            flips = rng.random(config.batch_size) < 0.5
-            batch_grids = np.where(flips[:, None, None], fgrids[idx], grids[idx])
-            batch_targets = np.where(flips[:, None, None], ftargets[idx], targets[idx])
-        else:
-            batch_grids = grids[idx]
-            batch_targets = targets[idx]
+            idx = idx + n * (rng.random(config.batch_size) < 0.5)
         visible = np.stack([m.visible_indices for m in masks])
+        masked = np.stack([m.masked_indices for m in masks])
         params.zero_grad()
         with Tape() as tape:
-            pred = mae_forward_batch(batch_grids, visible, params)
-            loss = masked_mse_loss(pred, batch_targets, masks)
+            # masked_mse_loss, bitwise, without decoding the visible rows
+            pred = mae_forward_batch(grids[idx], visible, params, masked)
+            loss = tk.mse(pred, targets[idx[:, None], masked])
             loss_val = loss.item()
             if not math.isfinite(loss_val):
                 # params are still the pre-step values: nothing was mutated yet

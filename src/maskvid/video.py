@@ -217,11 +217,16 @@ def read_raw_clip(path: str) -> VideoClip:
     meta = {}
     with open(manifest_path) as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                key, _, val = line.partition("=")
-                meta[key] = int(val)
-    shape = (meta["channels"], meta["frames"], meta["height"], meta["width"])
+            key, _, val = line.partition("=")
+            if key.strip():
+                meta[key.strip()] = val.strip()
+    keys = ("channels", "frames", "height", "width")
+    for key in keys:
+        if key not in meta:
+            raise SamplingError(f"{manifest_path}: missing key {key!r}")
+        if not meta[key].isdecimal() or int(meta[key]) < 1:
+            raise SamplingError(f"{manifest_path}: {key}={meta[key]!r} is not a positive integer")
+    shape = tuple(int(meta[k]) for k in keys)
     data = np.fromfile(path, dtype="<f4")
     if data.size != int(np.prod(shape)):
         raise DimensionError(

@@ -7,6 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from maskvid.cli import build_configs
+from maskvid.model import ModelConfig
+from maskvid.training import TrainConfig, snapshot_config
+
 BASE = [sys.executable, "-m", "maskvid.cli"]
 
 pytestmark = pytest.mark.usefixtures("src_on_child_pythonpath")
@@ -75,6 +79,35 @@ def test_badly_typed_config_value_exits_one_without_traceback(tmp_path, override
     assert res.returncode == 1
     assert "event=config_error" in res.stdout
     assert override.split("=")[0] in res.stdout
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("model_kw", [{}, {"dims": (8, 5, 5)}])
+@pytest.mark.parametrize("total_steps", [None, 7])
+def test_snapshot_config_round_trips_through_build_configs(model_kw, total_steps):
+    model_cfg = ModelConfig(**model_kw)
+    train_cfg = TrainConfig(total_steps=total_steps, mask_strategy="frame",
+                            flip_augment=True)
+    got_model, got_train, _ = build_configs(snapshot_config(model_cfg, train_cfg))
+    assert (got_model, got_train) == (model_cfg, train_cfg)
+
+
+def test_pretrain_reruns_from_its_resolved_cfg(tmp_path):
+    first = _pretrain(tmp_path, out="first")
+    again = tmp_path / "again"
+    res = run_cli(["pretrain", "--config", str(first / "resolved.cfg"), *TINY_DATA,
+                   "--out", str(again)], tmp_path)
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert (again / "loss.csv").read_text() == (first / "loss.csv").read_text()
+
+
+def test_raw_clip_manifest_without_height_exits_one_without_traceback(tmp_path):
+    raw = tmp_path / "clip.raw"
+    np.zeros(3 * 16 * 64 * 64, dtype="<f4").tofile(raw)
+    (tmp_path / "clip.raw.manifest").write_text("channels=3\nframes=16\nwidth=64\n")
+    res = run_cli(["pretrain", "--set", f"data.raw_path={raw}"], tmp_path)
+    assert res.returncode == 1
+    assert "event=config_error" in res.stdout and "height" in res.stdout
     assert "Traceback" not in res.stderr
 
 

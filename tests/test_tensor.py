@@ -124,8 +124,8 @@ def test_scatter_rows_places_visible_and_fills_rest():
         tk.scatter_rows(bvis, np.array([2, 0]), fill, 3)
 
 
-def test_masked_mse_equals_composed_chain_bitwise():
-    """One fused op, same bits as gather_rows -> sub -> mul -> reduce_mean."""
+def test_mse_equals_composed_chain_bitwise():
+    """One fused op, same bits as sub -> mul -> reduce_mean on gathered rows."""
     rng = np.random.default_rng(5)
     for dtype, shape in ((np.float32, (3, 10, 6)), (np.float64, (10, 6)),
                          (np.float32, (4, 200, 1536))):
@@ -134,8 +134,6 @@ def test_masked_mse_equals_composed_chain_bitwise():
         # a random permutation per leading index, first half-plus-one kept
         n = shape[-2]
         masked = np.sort(rng.random(shape[:-1]).argsort(axis=-1)[..., :n // 2 + 1], axis=-1)
-        rows = np.zeros(shape[:-1], dtype=bool)
-        np.put_along_axis(rows, masked, True, axis=-1)
         target_rows = np.take_along_axis(targets, masked[..., None], axis=-2)
 
         def chain():
@@ -143,12 +141,59 @@ def test_masked_mse_equals_composed_chain_bitwise():
                           Tensor(target_rows.astype(dtype)))
             return tk.reduce_mean(tk.mul(diff, diff))
 
+        def fused():
+            return tk.mse(tk.gather_rows(pred.value, masked), target_rows)
+
         want_grad, = _grad_of(chain, [pred])
-        got_grad, = _grad_of(lambda: tk.masked_mse(pred.value, targets, rows), [pred])
-        want = chain().data
-        got = tk.masked_mse(pred.value, targets, rows).data
+        got_grad, = _grad_of(fused, [pred])
+        want, got = chain().data, fused().data
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert got_grad.tobytes() == want_grad.tobytes()
+    with pytest.raises(ContractError):
+        tk.mse(Tensor(np.zeros((0, 3))), np.zeros((0, 3)))
+    with pytest.raises(DimensionError):
+        tk.mse(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+
+
+def test_add_row_bias_gradient_is_bitwise_the_full_grid_one():
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((4, 50, 96)).astype(np.float32)
+    rows = np.sort(rng.random((4, 50)).argsort(axis=-1)[:, :23], axis=-1)
+    upstream = rng.standard_normal((4, 23, 96)).astype(np.float32)
+    bias = Param(rng.standard_normal(96), "bias")
+
+    def full():
+        y = tk.gather_rows(tk.add(Tensor(x), bias.value), rows)
+        return tk.reduce_sum(tk.mul(y, Tensor(upstream)))
+
+    def subset():
+        y = tk.add_row_bias(tk.gather_rows(Tensor(x), rows), bias.value, rows)
+        return tk.reduce_sum(tk.mul(y, Tensor(upstream)))
+
+    want, = _grad_of(full, [bias])
+    got, = _grad_of(subset, [bias])
+    assert got.tobytes() == want.tobytes()
+    assert subset().data.tobytes() == full().data.tobytes()
+    with pytest.raises(DimensionError):
+        tk.add_row_bias(Tensor(x), bias.value, rows)
+
+
+@pytest.mark.parametrize("frozen", ["left", "right"])
+def test_matmul_computes_no_gradient_for_an_operand_without_requires_grad(frozen):
+    rng = np.random.default_rng(7)
+    a = Param(rng.standard_normal((2, 3, 4)), "a")
+    b = Param(rng.standard_normal((4, 5)), "b")
+    (a if frozen == "left" else b).value.requires_grad = False
+    with Tape() as tape:
+        out = tk.matmul(a.value, b.value)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    ga, gb = tape._entries[-1].backward(g)
+    if frozen == "left":
+        assert ga is None
+        np.testing.assert_allclose(gb, np.einsum("bik,bij->kj", a.value.data, g), rtol=1e-5)
+    else:
+        assert gb is None
+        np.testing.assert_allclose(ga, g @ b.value.data.T, rtol=1e-5)
 
 
 def test_every_recording_primitive_has_a_gradient_check():
@@ -156,7 +201,7 @@ def test_every_recording_primitive_has_a_gradient_check():
     recording = {name for name, fn in vars(tk).items()
                  if inspect.isfunction(fn) and not name.startswith("_")
                  and fn.__module__ == tk.__name__ and "_record" in fn.__code__.co_names}
-    assert {"matmul", "gather_rows", "scatter_rows", "masked_mse"} <= recording
+    assert {"matmul", "gather_rows", "scatter_rows", "add_row_bias", "mse"} <= recording
     assert recording <= set(primitive_checks())
 
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from maskvid import tensor as tk
 from maskvid.errors import (CheckpointError, ConfigError, ContractError,
                             NumericError)
 from maskvid.masking import make_mask, tube_mask
-from maskvid.model import ModelConfig, init_mae_params
+from maskvid.model import (ModelConfig, cube_embed, decode, encode, init_mae_params,
+                           mae_forward_batch)
 from maskvid.tensor import Param, Tape, Tensor
 from maskvid.training import (Checkpoint, OptimState, TrainConfig, adamw_step,
                               cosine_warmup_lr, finetune, layer_lr_scales,
@@ -14,7 +16,7 @@ from maskvid.training import (Checkpoint, OptimState, TrainConfig, adamw_step,
                               params_from_checkpoint, pretrain,
                               save_checkpoint, scaled_lr, snapshot_config,
                               write_loss_trace)
-from maskvid.video import synth_moving_sprites
+from maskvid.video import cubify, normalize_cube_targets, synth_moving_sprites
 
 DESK = ModelConfig()
 
@@ -65,6 +67,46 @@ def test_masked_mse_rejects_empty_mask():
     mask = make_mask("random", (2, 4), 0.0, 0)
     with pytest.raises(ContractError):
         masked_mse_loss(Tensor(np.zeros((8, 3))), np.zeros((8, 3)), mask)
+
+
+@pytest.mark.parametrize("strategy, ratio", [("tube", 0.9), ("random", 0.9), ("frame", 0.875)])
+def test_masked_row_path_is_bitwise_the_full_grid_path(strategy, ratio):
+    """Pretraining embeds only the visible cubes and decodes and scores only
+    the masked rows; the loss and every parameter gradient are the bytes of
+    the full-grid computation."""
+    cfg = ModelConfig(dims=(8, 5, 5))
+    clips = [c for c, _ in synth_moving_sprites(0, 4, size=(16, 80, 80))][:3]
+    grids = [cubify(c) for c in clips]
+    tokens = np.stack([g.tokens for g in grids]).astype(np.float32)
+    targets = np.stack([normalize_cube_targets(g).values for g in grids]).astype(np.float32)
+    rng = np.random.default_rng(3)
+    masks = [make_mask(strategy, (8, 25), ratio, rng) for _ in clips]
+    visible = np.stack([m.visible_indices for m in masks])
+    masked = np.stack([m.masked_indices for m in masks])
+    params = init_mae_params(cfg, seed=1)
+
+    def loss_and_grads(f):
+        params.zero_grad()
+        with Tape() as tape:
+            loss = f()
+            tape.backward(loss)
+        return loss.data.tobytes(), {n: p.grad.tobytes() for n, p in params.params.items()}
+
+    def full_grid():
+        """Every cube embedded, every row projected to pixels."""
+        embedded = tk.add(cube_embed(Tensor(tokens), params), Tensor(params.pos_enc))
+        encoded = encode(tk.gather_rows(embedded, visible), params)
+        return masked_mse_loss(decode(encoded, visible, params), targets, masks)
+
+    full = loss_and_grads(full_grid)
+    all_rows = loss_and_grads(lambda: masked_mse_loss(
+        mae_forward_batch(tokens, visible, params), targets, masks))
+    fast = loss_and_grads(lambda: tk.mse(
+        mae_forward_batch(tokens, visible, params, masked),
+        targets[np.arange(len(clips))[:, None], masked]))
+    for got in (all_rows, fast):
+        assert got[0] == full[0]
+        assert [n for n in full[1] if got[1][n] != full[1][n]] == []
 
 
 def test_masked_mse_batched_matches_per_sample_mean():

@@ -195,3 +195,17 @@ def test_raw_clip_manifest_describes_geometry(tmp_path):
     text = (tmp_path / "clip.raw.manifest").read_text()
     assert "frames=16" in text
     assert "height=64" in text
+
+
+@pytest.mark.parametrize("key, line", [("height", None), ("height", "height=6.5"),
+                                       ("frames", "frames=-16"), ("width", "width=")])
+def test_raw_clip_bad_manifest_raises_sampling_error_naming_key(tmp_path, key, line):
+    """A missing (line None) or non-positive-integer manifest value is named."""
+    clip = synth_moving_sprites(seed=0, count=4)[0][0]
+    path = tmp_path / "clip.raw"
+    write_raw_clip(clip, str(path))
+    manifest = tmp_path / "clip.raw.manifest"
+    lines = [ln for ln in manifest.read_text().splitlines() if not ln.startswith(key + "=")]
+    manifest.write_text("\n".join(lines + ([line] if line else [])) + "\n")
+    with pytest.raises(SamplingError, match=key):
+        read_raw_clip(str(path))
