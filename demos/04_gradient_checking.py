@@ -17,14 +17,15 @@ def main():
     w1 = Param(rng.standard_normal((6, 16)) / np.sqrt(6), "w1", dtype=np.float64)
     b1 = Param(np.zeros(16), "b1", dtype=np.float64)
     w2 = Param(rng.standard_normal((16, 3)) / 4.0, "w2", dtype=np.float64)
+    b2 = Param(np.zeros(3), "b2", dtype=np.float64)
     x = Tensor(rng.standard_normal((10, 6)))
     labels = rng.integers(0, 3, size=10)
 
     def loss():
-        h = tk.gelu(tk.add(tk.matmul(x, w1.value), b1.value))
-        return tk.cross_entropy(tk.matmul(h, w2.value), labels)
+        h = tk.gelu(tk.linear(x, w1.value, b1.value))
+        return tk.cross_entropy(tk.linear(h, w2.value, b2.value), labels)
 
-    for p in (w1, b1, w2):
+    for p in (w1, b1, w2, b2):
         err = finite_diff_check(loss, [p])
         print(f"{p.name}: max relative gradient error {err:.3e}")
 

@@ -39,12 +39,10 @@ def _field_types(cls) -> dict:
 
 
 _FIELD_TYPES = {"model": _field_types(ModelConfig), "train": _field_types(TrainConfig)}
-_DATA_KEYS = {"count", "seed", "raw_path", "label_count", "eval_count"}
-_ABLATE_KEYS = {"axis", "values", "seeds", "pretrain_clips", "label_clips",
-                "eval_clips", "regime", "pretrain_steps", "finetune_steps"}
-
 _DATA_DEFAULTS = {"count": 64, "seed": 0, "raw_path": "", "label_count": 32,
                   "eval_count": 32}
+_ABLATE_KEYS = {"axis", "values", "seeds", "pretrain_clips", "label_clips",
+                "eval_clips", "regime", "pretrain_steps", "finetune_steps"}
 
 
 def _log(event: str, **fields):
@@ -69,7 +67,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 def _validate_keys(cfg: dict[str, str]):
     for key in cfg:
         prefix, _, name = key.partition(".")
-        known = {**_FIELD_TYPES, "data": _DATA_KEYS, "ablate": _ABLATE_KEYS}.get(prefix)
+        known = {**_FIELD_TYPES, "data": _DATA_DEFAULTS, "ablate": _ABLATE_KEYS}.get(prefix)
         if known is None or name not in known:
             raise ConfigError(f"unknown config key {key!r}")
 
@@ -273,9 +271,10 @@ def cmd_ablate(args) -> int:
         pretrain_clips=get("pretrain_clips", 16),
         label_clips=get("label_clips", 4), eval_clips=get("eval_clips", 64),
         regime=get("regime", "same_epochs"))
-    from dataclasses import replace
-    spec.pretrain_cfg = replace(spec.pretrain_cfg, total_steps=get("pretrain_steps", 2000))
-    spec.finetune_cfg = replace(spec.finetune_cfg, total_steps=get("finetune_steps", 200))
+    spec.pretrain_cfg = dataclasses.replace(spec.pretrain_cfg,
+                                            total_steps=get("pretrain_steps", 2000))
+    spec.finetune_cfg = dataclasses.replace(spec.finetune_cfg,
+                                            total_steps=get("finetune_steps", 200))
     out = _resolve_out(args)
     _log("ablate_start", axis=axis, cells=len(values) * len(spec.seeds))
     rows = run_ablation(spec)

@@ -72,29 +72,29 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
 
     a = _param(rng, (3, 4), "a")
     b = _param(rng, (4, 2), "b")
-    # and with a constant batched left operand, as cube_embed's raw cubes
+    bias = _param(rng, (2,), "bias")
+    # and on a constant batched left operand holding grid rows, as cube_embed's
+    # raw cubes
     cubes = Tensor(rng.standard_normal((2, 3, 4)))
-    out["matmul"] = max(
-        finite_diff_check(lambda: _sq_mean(tk.matmul(a.value, b.value)), [a, b]),
-        finite_diff_check(lambda: _sq_mean(tk.matmul(cubes, b.value)), [b]))
+    cube_rows = np.array([[4, 0, 2], [1, 2, 3]])
+    out["linear"] = max(
+        finite_diff_check(lambda: _sq_mean(tk.linear(a.value, b.value, bias.value)), [a, b, bias]),
+        finite_diff_check(lambda: _sq_mean(tk.linear(cubes, b.value, bias.value)), [b, bias]),
+        finite_diff_check(lambda: _sq_mean(tk.linear(cubes, b.value, bias.value, cube_rows)),
+                          [b, bias]))
 
     x = _param(rng, (3, 4), "x")
     y = _param(rng, (4,), "y")
     out["add"] = finite_diff_check(lambda: _sq_mean(tk.add(x.value, y.value)), [x, y])
     out["sub"] = finite_diff_check(lambda: _sq_mean(tk.sub(x.value, x.value + y.value)), [x, y])
     out["mul"] = finite_diff_check(lambda: _sq_mean(tk.mul(x.value, y.value)), [x, y])
-    out["scale"] = finite_diff_check(lambda: _sq_mean(tk.scale(x.value, -1.7)), [x])
     out["gelu"] = finite_diff_check(lambda: _sq_mean(tk.gelu(x.value)), [x])
-    out["softmax"] = finite_diff_check(lambda: _sq_mean(tk.softmax(x.value)), [x])
 
     g = _param(rng, (4,), "gamma")
     be = _param(rng, (4,), "beta")
     out["layer_norm"] = finite_diff_check(
         lambda: _sq_mean(tk.layer_norm(x.value, g.value, be.value)), [x, g, be])
 
-    out["transpose"] = finite_diff_check(lambda: _sq_mean(tk.transpose(tk.matmul(a.value, b.value))), [a, b])
-    out["permute"] = finite_diff_check(
-        lambda: _sq_mean(tk.permute(tk.reshape(x.value, (3, 2, 2)), (1, 0, 2))), [x])
     out["reshape"] = finite_diff_check(lambda: _sq_mean(tk.reshape(x.value, (2, 6))), [x])
     out["reduce_sum"] = finite_diff_check(lambda: tk.reduce_sum(tk.mul(x.value, x.value)), [x])
     out["reduce_mean"] = finite_diff_check(lambda: tk.reduce_mean(tk.mul(x.value, x.value)), [x])
@@ -115,15 +115,17 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
                           [vis, fill]),
         finite_diff_check(lambda: _sq_mean(tk.scatter_rows(bvis.value, bidx, fill.value, 3)),
                           [bvis, fill]))
-    out["add_row_bias"] = finite_diff_check(
-        lambda: _sq_mean(tk.add_row_bias(bx.value, y.value, np.array([[4, 0, 2], [1, 2, 3]]))),
-        [bx, y])
     targets = rng.standard_normal((2, 3, 4))
     out["mse"] = finite_diff_check(lambda: tk.mse(bx.value, targets), [bx])
 
     labels = np.array([1, 0, 3])
     out["cross_entropy"] = finite_diff_check(
         lambda: tk.cross_entropy(x.value, labels), [x])
+
+    # two heads over batched (2, 3, 8) tokens
+    q, k, v = (_param(rng, (2, 3, 8), n) for n in "qkv")
+    out["attention"] = finite_diff_check(
+        lambda: _sq_mean(tk.attention(q.value, k.value, v.value, heads=2)), [q, k, v])
 
     blk = _generic_block(8, "blk", rng)
     tokens = _param(rng, (3, 8), "tokens")

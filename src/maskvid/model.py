@@ -185,24 +185,17 @@ def init_head_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> di
 
 # -- forward pieces -----------------------------------------------------------
 
-def _add_bias(x: Tensor, bias: Param, rows: np.ndarray | None) -> Tensor:
-    """x + bias; rows, if given, are the grid positions of x's rows."""
-    if rows is None:
-        return tk.add(x, bias.value)
-    return tk.add_row_bias(x, bias.value, rows)
-
-
 def cube_embed(tokens: Tensor, params: MAEParams, rows: np.ndarray | None = None) -> Tensor:
     """Shared linear projection of raw cube rows to encoder width.
 
     tokens is the whole grid, or the grid rows `rows` (tokens.shape[:-1]) of
-    it; the bias gradient is then summed in grid order (tk.add_row_bias).
+    it; the bias gradient is then summed in grid order (tk.linear).
     """
     if tokens.shape[-1] != params["embed/w"].value.shape[0]:
         raise DimensionError(
             f"cube width {tokens.shape[-1]} != embedding input {params['embed/w'].value.shape[0]}"
         )
-    return _add_bias(tk.matmul(tokens, params["embed/w"].value), params["embed/b"], rows)
+    return tk.linear(tokens, params["embed/w"].value, params["embed/b"].value, rows)
 
 
 def encode(visible: Tensor, params: MAEParams) -> Tensor:
@@ -223,7 +216,7 @@ def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
     (encoded.shape[:-2] + (K,), unique along K) when given.
     """
     cfg = params.config
-    x = tk.add(tk.matmul(encoded, params["enc2dec/w"].value), params["enc2dec/b"].value)
+    x = tk.linear(encoded, params["enc2dec/w"].value, params["enc2dec/b"].value)
     x = tk.scatter_rows(x, visible_indices, params["mask_token"].value, cfg.n_tokens)
     x = add_pos_embed(x, params.pos_dec)
     for i in range(cfg.depth_dec):
@@ -231,7 +224,7 @@ def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
     x = tk.layer_norm(x, params["dec/norm/g"].value, params["dec/norm/b"].value)
     if rows is not None:
         x = tk.gather_rows(x, rows)
-    return _add_bias(tk.matmul(x, params["out/w"].value), params["out/b"], rows)
+    return tk.linear(x, params["out/w"].value, params["out/b"].value, rows)
 
 
 @dataclass
@@ -282,7 +275,7 @@ def classify(clips, params: MAEParams, head: dict[str, Param]) -> Tensor:
     encoded = encode(embedded, params)
     pooled = tk.mean_axis(encoded, axis=-2)
     normed = tk.layer_norm(pooled, head["head/norm/g"].value, head["head/norm/b"].value)
-    logits = tk.add(tk.matmul(normed, head["head/w"].value), head["head/b"].value)
+    logits = tk.linear(normed, head["head/w"].value, head["head/b"].value)
     if single:
         logits = tk.reshape(logits, (params.config.num_classes,))
     return logits

@@ -84,12 +84,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other, self.dtype), self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -236,15 +230,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c)
-
-    def bwd(g):
-        return (g * c,)
-
-    return _record(out, (a,), bwd)
-
-
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
     xd = x.data
@@ -260,44 +245,80 @@ def gelu(x: Tensor) -> Tensor:
 
 # -- linear algebra -------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -> Tensor:
+    """x @ w + b over the last axis of x.
+
+    rows, if given, names the grid rows (x.shape[:-1], unique along the last
+    axis) of a larger token grid that x holds. The bias gradient is then
+    summed as over the whole grid: per grid row over the leading axes first,
+    then over grid rows in ascending order, so projecting a row subset leaves
+    it bitwise that of the full grid, whose other rows contribute exact zeros.
+    """
+    idx = None if rows is None else np.asarray(rows)
+    if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]
+            or (idx is not None and idx.shape != x.shape[:-1])):
+        raise DimensionError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}, "
+                             f"rows {None if idx is None else idx.shape}")
+    out = np.matmul(x.data, w.data)
+    out += b.data
 
     def bwd(g):
         # an operand that needs no gradient (raw cube tokens, a frozen
         # weight) gets none computed
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = np.matmul(g, np.swapaxes(w.data, -1, -2))
+        if w.requires_grad:
+            gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
+        if b.requires_grad and idx is None:
+            gb = _unbroadcast(g, b.shape)
+        elif b.requires_grad:
+            d = g.shape[-1]
+            flat_g, flat_rows = g.reshape(-1, idx.shape[-1], d), idx.reshape(-1, idx.shape[-1])
+            per_row = np.zeros((int(flat_rows.max(initial=0)) + 1, d), dtype=g.dtype)
+            for gi, ri in zip(flat_g, flat_rows):
+                per_row[ri] += gi
+            gb = per_row.sum(axis=0)
+        return gx, gw, gb
 
-    return _record(out, (a, b), bwd)
+    return _record(Tensor(out), (x, w, b), bwd)
 
 
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    out = Tensor(np.swapaxes(x.data, -1, -2))
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(dh)) v over (..., N, D) inputs.
+
+    Each of q, k, v is split into `heads` slices of width dh = D/heads, every
+    query attends to every key of its head, and the heads' outputs are
+    concatenated back to (..., N, D). The softmax is kept for the backward.
+    """
+    if not q.shape == k.shape == v.shape:
+        raise DimensionError(f"attention needs equal q, k, v shapes, got {q.shape}, {k.shape}, {v.shape}")
+    lead, (n, d) = q.shape[:-2], q.shape[-2:]
+    if d % heads != 0:
+        raise ConfigError(f"token width {d} is not divisible by heads {heads}")
+    c = 1.0 / math.sqrt(d / heads)
+
+    def split(a):  # (..., N, D) -> (..., heads, N, dh), a view
+        return np.swapaxes(a.reshape(lead + (n, heads, d // heads)), -3, -2)
+
+    def merge(a):  # (..., heads, N, dh) -> (..., N, D)
+        return np.swapaxes(a, -3, -2).reshape(lead + (n, d))
+
+    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(q4, np.swapaxes(k4, -1, -2)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        return (np.swapaxes(g, -1, -2),)
+        g4 = split(g)
+        gs = np.matmul(g4, np.swapaxes(v4, -1, -2))
+        gv = np.matmul(np.swapaxes(s, -1, -2), g4)
+        gsc = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * c
+        gq = np.matmul(gsc, k4)
+        gk = np.swapaxes(np.matmul(np.swapaxes(q4, -1, -2), gsc), -1, -2)
+        return merge(gq), merge(gk), merge(gv)
 
-    return _record(out, (x,), bwd)
-
-
-def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes))
-    inv = np.argsort(axes)
-
-    def bwd(g):
-        return (np.transpose(g, inv),)
-
-    return _record(out, (x,), bwd)
+    return _record(Tensor(merge(np.matmul(s, v4))), (q, k, v), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -310,7 +331,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-# -- normalization / softmax ----------------------------------------------
+# -- normalization ----------------------------------------------
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Zero-mean unit-variance over the last axis, then affine."""
@@ -338,20 +359,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         return dx, dgamma, dbeta
 
     return _record(out, (x, gamma, beta), bwd)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
-
-    return _record(out, (x,), bwd)
 
 
 # -- reductions -------------------------------------------------------------
@@ -439,31 +446,6 @@ def scatter_rows(visible: Tensor, indices: np.ndarray, fill: Tensor, n_rows: int
     return _record(out, (visible, fill), bwd)
 
 
-def add_row_bias(x: Tensor, bias: Tensor, rows: np.ndarray) -> Tensor:
-    """x + bias, where x holds the grid rows `rows` (x.shape[:-1], unique along
-    the last axis) of a larger token grid.
-
-    The bias gradient is summed as add() over the whole grid would sum it:
-    per grid row over the leading axes first, then over grid rows in
-    ascending order. Adding a bias to a row subset thus leaves its gradient
-    bitwise that of the full grid, whose other rows contribute exact zeros.
-    """
-    idx = np.asarray(rows)
-    d = x.shape[-1]
-    if x.data.ndim < 2 or idx.shape != x.shape[:-1] or bias.shape != (d,):
-        raise DimensionError(f"add_row_bias: x {x.shape}, bias {bias.shape}, rows {idx.shape}")
-    out = Tensor(x.data + bias.data)
-
-    def bwd(g):
-        flat_g, flat_rows = g.reshape(-1, idx.shape[-1], d), idx.reshape(-1, idx.shape[-1])
-        per_row = np.zeros((int(flat_rows.max(initial=0)) + 1, d), dtype=g.dtype)
-        for gi, ri in zip(flat_g, flat_rows):
-            per_row[ri] += gi
-        return g, per_row.sum(axis=0)
-
-    return _record(out, (x, bias), bwd)
-
-
 def mse(pred: Tensor, targets: np.ndarray) -> Tensor:
     """Mean of (pred - targets)**2 over every entry; targets is cast to pred's dtype."""
     if targets.shape != pred.shape:
@@ -540,50 +522,26 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
     return vals.astype(dtype)
 
 
-def _heads_split(x: Tensor, heads: int) -> Tensor:
-    """(..., N, D) -> (..., heads, N, D/heads)."""
-    lead = x.shape[:-2]
-    n, d = x.shape[-2], x.shape[-1]
-    x = reshape(x, lead + (n, heads, d // heads))
-    axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    return permute(x, axes)
-
-
-def _heads_merge(x: Tensor) -> Tensor:
-    """(..., heads, N, dh) -> (..., N, heads*dh)."""
-    lead = x.shape[:-3]
-    h, n, dh = x.shape[-3], x.shape[-2], x.shape[-1]
-    axes = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    x = permute(x, axes)
-    return reshape(x, lead + (n, h * dh))
-
-
 def attention_block(tokens: Tensor, params: dict, name: str, heads: int) -> Tensor:
     """Pre-norm block: LN -> multi-head self-attention -> residual -> LN -> MLP -> residual.
 
     Joint space-time attention: every token attends to every token.
     """
-    d = tokens.shape[-1]
     if tokens.shape[-2] < 1:
         raise ContractError("attention_block needs at least one token")
-    if d % heads != 0:
-        raise ConfigError(f"token width {d} is not divisible by heads {heads}")
 
     def p(key):
         return params[f"{name}/{key}"].value
 
     y = layer_norm(tokens, p("ln1/g"), p("ln1/b"))
-    q = _heads_split(add(matmul(y, p("wq")), p("bq")), heads)
-    k = _heads_split(add(matmul(y, p("wk")), p("bk")), heads)
-    v = _heads_split(add(matmul(y, p("wv")), p("bv")), heads)
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d / heads))
-    attn = softmax(scores)
-    ctx = _heads_merge(matmul(attn, v))
-    h = add(tokens, add(matmul(ctx, p("wo")), p("bo")))
+    # q, k, v in this order: the gradient into y sums v's, k's, then q's part
+    q = linear(y, p("wq"), p("bq"))
+    k = linear(y, p("wk"), p("bk"))
+    v = linear(y, p("wv"), p("bv"))
+    h = add(tokens, linear(attention(q, k, v, heads), p("wo"), p("bo")))
 
     y2 = layer_norm(h, p("ln2/g"), p("ln2/b"))
-    m = gelu(add(matmul(y2, p("w1")), p("b1")))
-    m = add(matmul(m, p("w2")), p("b2"))
+    m = linear(gelu(linear(y2, p("w1"), p("b1"))), p("w2"), p("b2"))
     return add(h, m)
 
 

@@ -150,10 +150,11 @@ def layer_lr_scales(config: ModelConfig, decay: float) -> dict[str, float]:
     scales: dict[str, float] = {}
     n = config.depth_enc
     scales["embed/w"] = scales["embed/b"] = decay ** (n + 1)
+    rng = np.random.default_rng(0)
     for i in range(n):
-        for suffix in ("ln1/g", "ln1/b", "wq", "bq", "wk", "bk", "wv", "bv",
-                       "wo", "bo", "ln2/g", "ln2/b", "w1", "b1", "w2", "b2"):
-            scales[f"enc/block{i}/{suffix}"] = decay ** (n - i)
+        # a width-1 block: only its parameter names are read
+        for name in tk.init_block_params(1, f"enc/block{i}", rng, mlp_ratio=1):
+            scales[name] = decay ** (n - i)
     return scales
 
 
@@ -337,16 +338,24 @@ def pretrain(config: TrainConfig, dataset, params: MAEParams | None = None,
 
     stop_step interrupts the run after that absolute step while keeping the
     full-length schedule, so a later resume reproduces the uninterrupted run.
+    A resume runs under the checkpoint's own config: a model_cfg or config
+    that differs from it in any key raises ConfigError naming each such key.
     """
     if len(dataset) == 0:
         raise ContractError("pretrain needs a nonempty dataset")
     if resume is not None:
         params = params_from_checkpoint(resume)
-        model_cfg = params.config
     if model_cfg is None:
         model_cfg = params.config if params is not None else ModelConfig()
     if params is None:
         params = init_mae_params(model_cfg, seed=config.seed)
+    config_snap = snapshot_config(model_cfg, config)
+    if resume is not None:
+        differ = sorted(k for k in config_snap.keys() | resume.config.keys()
+                        if config_snap.get(k) != resume.config.get(k))
+        if differ:
+            raise ConfigError("resume under a different config: " + ", ".join(
+                f"{k} {resume.config.get(k)} -> {config_snap.get(k)}" for k in differ))
 
     n = len(dataset)
     grids, targets = _clip_grids(dataset)
@@ -368,7 +377,6 @@ def pretrain(config: TrainConfig, dataset, params: MAEParams | None = None,
                            step=resume.opt_step)
         start_step = resume.step
         rng.bit_generator.state = resume.rng_state
-    config_snap = snapshot_config(model_cfg, config)
 
     end = total if stop_step is None else min(total, stop_step)
     trace = []

@@ -28,10 +28,11 @@ def _grad_of(f, params):
 # -- forward oracles ----------------------------------------------------------
 
 def test_matmul_matches_triple_loop():
+    # linear's product x @ w, plus its bias
     rng = np.random.default_rng(0)
-    a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
-    out = tk.matmul(Tensor(a), Tensor(b)).data
-    expect = np.zeros((3, 5))
+    a, b, bias = rng.standard_normal((3, 4)), rng.standard_normal((4, 5)), rng.standard_normal(5)
+    out = tk.linear(Tensor(a), Tensor(b), Tensor(bias)).data
+    expect = np.tile(bias, (3, 1))
     for i in range(3):
         for j in range(5):
             for k in range(4):
@@ -41,7 +42,9 @@ def test_matmul_matches_triple_loop():
 
 def test_matmul_shape_mismatch_names_both_shapes():
     with pytest.raises(DimensionError, match=r"3, 4.*5, 2"):
-        tk.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
+        tk.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(DimensionError):
+        tk.linear(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(3)))
 
 
 def test_layer_norm_hand_example():
@@ -73,19 +76,52 @@ def test_gelu_matches_erf_oracle():
     np.testing.assert_allclose(tk.gelu(Tensor(np.array([1.0]))).data, [0.8413447], atol=1e-6)
 
 
-def test_softmax_rows_sum_to_one_and_shift_invariant():
+def _attention_reference(q, k, v, heads):
+    """Float64 loop over heads: softmax(q_h k_h^T / sqrt(dh)) v_h, concatenated."""
+    dh = q.shape[-1] // heads
+    out = np.zeros(q.shape)
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2) / math.sqrt(dh)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        out[..., cols] = weights @ v[..., cols]
+    return out
+
+
+def test_attention_matches_per_head_reference():
     rng = np.random.default_rng(2)
-    x = rng.standard_normal((4, 7))
-    out = tk.softmax(Tensor(x)).data
-    np.testing.assert_allclose(out.sum(axis=-1), np.ones(4), atol=1e-12)
-    shifted = tk.softmax(Tensor(x + 123.0)).data
+    for shape, heads in (((5, 8), 2), ((3, 6, 12), 3), ((2, 4, 6), 1)):
+        q, k, v = (rng.standard_normal(shape) for _ in range(3))
+        out = tk.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+        np.testing.assert_allclose(out, _attention_reference(q, k, v, heads), rtol=1e-12, atol=1e-12)
+    with pytest.raises(ConfigError):
+        tk.attention(Tensor(q), Tensor(k), Tensor(v), heads=4)
+    with pytest.raises(DimensionError):
+        tk.attention(Tensor(q), Tensor(k[:, :3]), Tensor(v), heads=1)
+
+
+def test_softmax_rows_sum_to_one_and_shift_invariant():
+    # inside attention: equal value rows come out unchanged, and adding one
+    # vector to every key shifts each query's scores by a constant
+    rng = np.random.default_rng(2)
+    q, k = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
+    v = np.tile(rng.standard_normal(6), (4, 1))
+    np.testing.assert_allclose(tk.attention(Tensor(q), Tensor(k), Tensor(v), 2).data, v, atol=1e-12)
+    v = rng.standard_normal((4, 6))
+    out = tk.attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+    shifted = tk.attention(Tensor(q), Tensor(k + rng.standard_normal(6)), Tensor(v), 2).data
     np.testing.assert_allclose(out, shifted, atol=1e-12)
 
 
 def test_softmax_handles_large_scores():
-    out = tk.softmax(Tensor(np.array([[1000.0, 1000.0, -1000.0]]))).data
+    # keys all equal at magnitude 1e3: every query weighs every row alike
+    rng = np.random.default_rng(3)
+    q, v = rng.standard_normal((5, 8)), rng.standard_normal((5, 8))
+    k = np.full((5, 8), 1e3)
+    out = tk.attention(Tensor(q), Tensor(k), Tensor(v), 2).data
     assert np.isfinite(out).all()
-    np.testing.assert_allclose(out[0, :2], [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-12)
 
 
 def test_reductions_return_scalar_shaped_tensors():
@@ -155,19 +191,21 @@ def test_mse_equals_composed_chain_bitwise():
         tk.mse(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
 
 
-def test_add_row_bias_gradient_is_bitwise_the_full_grid_one():
+def test_linear_rows_bias_gradient_is_bitwise_the_full_grid_one():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((4, 50, 96)).astype(np.float32)
     rows = np.sort(rng.random((4, 50)).argsort(axis=-1)[:, :23], axis=-1)
     upstream = rng.standard_normal((4, 23, 96)).astype(np.float32)
     bias = Param(rng.standard_normal(96), "bias")
+    # an identity weight keeps the product exact, so only the bias sum is tested
+    eye = Tensor(np.eye(96, dtype=np.float32))
 
     def full():
-        y = tk.gather_rows(tk.add(Tensor(x), bias.value), rows)
+        y = tk.gather_rows(tk.linear(Tensor(x), eye, bias.value), rows)
         return tk.reduce_sum(tk.mul(y, Tensor(upstream)))
 
     def subset():
-        y = tk.add_row_bias(tk.gather_rows(Tensor(x), rows), bias.value, rows)
+        y = tk.linear(tk.gather_rows(Tensor(x), rows), eye, bias.value, rows)
         return tk.reduce_sum(tk.mul(y, Tensor(upstream)))
 
     want, = _grad_of(full, [bias])
@@ -175,19 +213,22 @@ def test_add_row_bias_gradient_is_bitwise_the_full_grid_one():
     assert got.tobytes() == want.tobytes()
     assert subset().data.tobytes() == full().data.tobytes()
     with pytest.raises(DimensionError):
-        tk.add_row_bias(Tensor(x), bias.value, rows)
+        tk.linear(Tensor(x), eye, bias.value, rows)
 
 
 @pytest.mark.parametrize("frozen", ["left", "right"])
 def test_matmul_computes_no_gradient_for_an_operand_without_requires_grad(frozen):
+    # linear's x (left) or w (right) frozen
     rng = np.random.default_rng(7)
     a = Param(rng.standard_normal((2, 3, 4)), "a")
     b = Param(rng.standard_normal((4, 5)), "b")
+    bias = Param(rng.standard_normal(5), "bias")
     (a if frozen == "left" else b).value.requires_grad = False
     with Tape() as tape:
-        out = tk.matmul(a.value, b.value)
+        out = tk.linear(a.value, b.value, bias.value)
     g = rng.standard_normal(out.shape).astype(np.float32)
-    ga, gb = tape._entries[-1].backward(g)
+    ga, gb, gbias = tape._entries[-1].backward(g)
+    np.testing.assert_allclose(gbias, g.sum(axis=(0, 1)), rtol=1e-5)
     if frozen == "left":
         assert ga is None
         np.testing.assert_allclose(gb, np.einsum("bik,bij->kj", a.value.data, g), rtol=1e-5)
@@ -201,7 +242,7 @@ def test_every_recording_primitive_has_a_gradient_check():
     recording = {name for name, fn in vars(tk).items()
                  if inspect.isfunction(fn) and not name.startswith("_")
                  and fn.__module__ == tk.__name__ and "_record" in fn.__code__.co_names}
-    assert {"matmul", "gather_rows", "scatter_rows", "add_row_bias", "mse"} <= recording
+    assert {"linear", "attention", "gather_rows", "scatter_rows", "mse"} <= recording
     assert recording <= set(primitive_checks())
 
 
@@ -209,15 +250,6 @@ def test_cross_entropy_uniform_logits_is_log_k():
     logits = Tensor(np.zeros((5, 4)))
     loss = tk.cross_entropy(logits, np.zeros(5, dtype=int))
     np.testing.assert_allclose(loss.item(), math.log(4), atol=1e-7)
-
-
-def test_permute_then_inverse_is_identity():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((2, 3, 4))
-    perm = (2, 0, 1)
-    once = tk.permute(Tensor(x), perm)
-    inv = tuple(np.argsort(perm))
-    np.testing.assert_array_equal(tk.permute(once, inv).data, x)
 
 
 # -- backward oracles ---------------------------------------------------------
@@ -260,10 +292,13 @@ def test_matmul_backward_matches_hand_formula():
     rng = np.random.default_rng(7)
     a = _param(rng, (3, 4), "a")
     b = _param(rng, (4, 2), "b")
-    ga, gb = _grad_of(lambda: tk.reduce_sum(tk.matmul(a.value, b.value)), [a, b])
+    bias = _param(rng, (2,), "bias")
+    ga, gb, gbias = _grad_of(lambda: tk.reduce_sum(tk.linear(a.value, b.value, bias.value)),
+                             [a, b, bias])
     ones = np.ones((3, 2))
     np.testing.assert_allclose(ga, ones @ b.value.data.T, rtol=1e-12)
     np.testing.assert_allclose(gb, a.value.data.T @ ones, rtol=1e-12)
+    np.testing.assert_array_equal(gbias, [3.0, 3.0])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -274,9 +309,9 @@ def test_composite_expression_passes_finite_difference(seed):
     g = _param(rng, (3,), "g")
 
     def f():
-        y = tk.gelu(tk.matmul(a.value, b.value))
+        y = tk.gelu(tk.linear(a.value, b.value, Tensor(np.zeros(3))))
         y = tk.layer_norm(y, g.value, Tensor(np.zeros(3)))
-        return tk.reduce_mean(tk.mul(y, tk.softmax(y)))
+        return tk.reduce_mean(tk.mul(y, tk.attention(y, y, y, heads=1)))
 
     assert finite_diff_check(f, [a, b, g]) < 1e-6
 
@@ -285,16 +320,18 @@ def test_composite_expression_passes_finite_difference(seed):
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_softmax_backward_rows_orthogonal_to_ones(seed):
     # d(softmax)/dx applied to any upstream grad has zero row sums, because
-    # row sums of softmax are constant.
+    # row sums of softmax are constant. Inside attention this makes the key
+    # gradient sum to zero over the keys: the output ignores a shift shared
+    # by every key.
     rng = np.random.default_rng(seed)
-    p = _param(rng, (3, 5), "p")
-    up = rng.standard_normal((3, 5))
+    q, k, v = (_param(rng, (2, 4, 6), n) for n in "qkv")
+    up = rng.standard_normal((2, 4, 6))
 
     def f():
-        return tk.reduce_sum(tk.mul(tk.softmax(p.value), Tensor(up)))
+        return tk.reduce_sum(tk.mul(tk.attention(q.value, k.value, v.value, 2), Tensor(up)))
 
-    (g,) = _grad_of(f, [p])
-    np.testing.assert_allclose(g.sum(axis=-1), np.zeros(3), atol=1e-10)
+    (g,) = _grad_of(f, [k])
+    np.testing.assert_allclose(g.sum(axis=-2), np.zeros((2, 6)), atol=1e-10)
 
 
 def test_attention_block_preserves_shape_and_differentiates():
@@ -309,6 +346,16 @@ def test_attention_block_preserves_shape_and_differentiates():
             tk.attention_block(x.value, blk, "blk", heads=2))),
         [x], samples_per_param=10)
     assert err < 1e-5
+
+
+def test_attention_block_records_twelve_tape_entries():
+    # LN, 3 x linear, attention, linear, residual, LN, linear, gelu, linear, residual
+    rng = np.random.default_rng(8)
+    blk = tk.init_block_params(8, "blk", rng)
+    x = Param(rng.standard_normal((2, 5, 8)), "x")
+    with Tape() as tape:
+        tk.attention_block(x.value, blk, "blk", heads=2)
+    assert len(tape) == 12
 
 
 def test_attention_block_rejects_indivisible_heads():
@@ -349,7 +396,8 @@ def test_deterministic_forward_backward():
     def run():
         rng = np.random.default_rng(11)
         a = _param(rng, (4, 4), "a")
-        (g,) = _grad_of(lambda: tk.reduce_sum(tk.gelu(tk.matmul(a.value, a.value))), [a])
+        (g,) = _grad_of(
+            lambda: tk.reduce_sum(tk.gelu(tk.linear(a.value, a.value, Tensor(np.zeros(4))))), [a])
         return g
 
     np.testing.assert_array_equal(run(), run())

@@ -219,6 +219,13 @@ def test_layer_lr_scales_decay_toward_input():
     assert scales["embed/w"] == pytest.approx(0.75 ** 5)
     # deeper blocks get larger scales
     assert scales["enc/block3/wq"] > scales["enc/block0/wq"] > scales["embed/w"]
+    # every encoder block parameter of a desk model is scaled, nothing else is
+    names = init_mae_params(DESK).names()
+    blocks = {n for n in names if n.startswith("enc/block")}
+    assert set(scales) == blocks | {"embed/w", "embed/b"}
+    for n in blocks:
+        assert scales[n] == 0.75 ** (DESK.depth_enc - int(n.split("/")[1][len("block"):]))
+    assert "enc/norm/g" in names and "enc/norm/g" not in scales
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -297,6 +304,26 @@ def test_resume_reproduces_uninterrupted_trace(tmp_path):
     assert [l for _, _, l in combined] == [l for _, _, l in full.trace]
     for name, arr in full.checkpoint.params.items():
         np.testing.assert_array_equal(resumed.checkpoint.params[name], arr)
+
+
+def test_resume_under_a_different_config_names_every_differing_key():
+    cfg = TrainConfig(base_lr=0.64, batch_size=2, total_steps=4, seed=1,
+                      mask_strategy="tube", mask_ratio=0.9)
+    ds = synth_moving_sprites(seed=0, count=4, noise_level=0.0)
+    half = pretrain(cfg, ds, model_cfg=_tiny_cfg_64(), stop_step=2)
+    other = TrainConfig(base_lr=5.0, batch_size=2, total_steps=4, seed=1,
+                        mask_strategy="frame", mask_ratio=0.5)
+    with pytest.raises(ConfigError) as err:
+        pretrain(other, ds, resume=half.checkpoint)
+    for key in ("train.base_lr", "train.mask_strategy", "train.mask_ratio"):
+        assert key in str(err.value)
+    assert "train.seed" not in str(err.value)
+    wider = ModelConfig(dims=(8, 4, 4), d_enc=32, depth_enc=1, heads_enc=2,
+                        d_dec=8, depth_dec=1, heads_dec=2)
+    with pytest.raises(ConfigError, match="model.d_enc"):
+        pretrain(cfg, ds, model_cfg=wider, resume=half.checkpoint)
+    # the same config resumes
+    assert len(pretrain(cfg, ds, model_cfg=_tiny_cfg_64(), resume=half.checkpoint).trace) == 2
 
 
 def test_loss_trace_csv_format(tmp_path):
