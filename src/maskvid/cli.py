@@ -3,7 +3,7 @@
 Subcommands: pretrain | finetune | probe | reconstruct | maskviz | gradcheck |
 ablate. Config files are flat key=value text with dotted prefixes
 (model.d_enc=64); --set overrides individual keys. Exit codes: 0 success,
-1 config error, 2 numeric abort.
+1 config error, 2 numeric abort (a diverged pretrain, fine-tune or probe).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gradsuite
 from .errors import MaskvidError, ConfigError, NumericError
-from .experiments import AblationSpec, run_ablation, summarize, write_report
+from .experiments import AXES, AblationSpec, run_ablation, summarize, write_report
 from .masking import STRATEGIES, make_mask, mask_to_text
 from .model import ModelConfig, mae_forward
 from .training import (TrainConfig, finetune, linear_probe, load_checkpoint,
@@ -38,11 +38,18 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-_FIELD_TYPES = {"model": _field_types(ModelConfig), "train": _field_types(TrainConfig)}
 _DATA_DEFAULTS = {"count": 64, "seed": 0, "raw_path": "", "label_count": 32,
                   "eval_count": 32}
-_ABLATE_KEYS = {"axis", "values", "seeds", "pretrain_clips", "label_clips",
-                "eval_clips", "regime", "pretrain_steps", "finetune_steps"}
+# ablate.* keys: AblationSpec fields, plus the two runs' step budgets
+_ABLATE_STEPS = {"pretrain_steps": "pretrain_cfg", "finetune_steps": "finetune_cfg"}
+_FIELD_TYPES = {
+    "model": _field_types(ModelConfig), "train": _field_types(TrainConfig),
+    "data": {k: type(v) for k, v in _DATA_DEFAULTS.items()},
+    "ablate": {**{k: v for k, v in _field_types(AblationSpec).items()
+                  if k in ("axis", "values", "seeds", "pretrain_clips", "label_clips",
+                           "eval_clips", "regime")},
+               **dict.fromkeys(_ABLATE_STEPS, int)},
+}
 
 
 def _log(event: str, **fields):
@@ -67,8 +74,7 @@ def parse_config_file(path: str) -> dict[str, str]:
 def _validate_keys(cfg: dict[str, str]):
     for key in cfg:
         prefix, _, name = key.partition(".")
-        known = {**_FIELD_TYPES, "data": _DATA_DEFAULTS, "ablate": _ABLATE_KEYS}.get(prefix)
-        if known is None or name not in known:
+        if name not in _FIELD_TYPES.get(prefix, ()):
             raise ConfigError(f"unknown config key {key!r}")
 
 
@@ -87,6 +93,8 @@ def _has_type(value, hint) -> bool:
     if typing.get_origin(hint) is tuple:
         return (isinstance(value, tuple) and len(value) == len(args)
                 and all(map(_has_type, value, args)))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
@@ -94,11 +102,13 @@ def _has_type(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def build_configs(cfg: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dict]:
-    kwargs = {"model": {}, "train": {}}
-    data = dict(_DATA_DEFAULTS)
+def _typed(cfg: dict[str, str], prefix: str) -> dict:
+    """The prefix's keys as name -> decoded value, each checked against its type."""
+    out = {}
     for key, raw in cfg.items():
-        prefix, _, name = key.partition(".")
+        if not key.startswith(prefix + "."):
+            continue
+        name = key[len(prefix) + 1:]
         val = _coerce(raw)
         if key == "model.dims" and isinstance(val, list):
             val = tuple(val)  # the JSON form snapshot_config writes: [8, 4, 4]
@@ -107,14 +117,16 @@ def build_configs(cfg: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dict]:
                 val = tuple(int(x) for x in str(raw).split(",") if x != "")
             except ValueError:
                 raise ConfigError(f"{key} expects comma-separated integers, got {raw!r}") from None
-        if prefix in kwargs:
-            hint = _FIELD_TYPES[prefix][name]
-            if not _has_type(val, hint):
-                raise ConfigError(f"{key}={raw!r} does not fit its type {hint}")
-            kwargs[prefix][name] = val
-        elif prefix == "data":
-            data[name] = val
-    return ModelConfig(**kwargs["model"]), TrainConfig(**kwargs["train"]), data
+        hint = _FIELD_TYPES[prefix][name]
+        if not _has_type(val, hint):
+            raise ConfigError(f"{key}={raw!r} does not fit its type {hint}")
+        out[name] = val
+    return out
+
+
+def build_configs(cfg: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dict]:
+    return (ModelConfig(**_typed(cfg, "model")), TrainConfig(**_typed(cfg, "train")),
+            {**_DATA_DEFAULTS, **_typed(cfg, "data")})
 
 
 def _resolve_out(args) -> str:
@@ -183,6 +195,9 @@ def _cmd_supervised(args, runner, tag: str) -> int:
     result = runner(params, train_ds, eval_ds, train_cfg)
     _write_resolved(snapshot_config(params.config, train_cfg), out)
     write_loss_trace(os.path.join(out, f"{tag}_loss.csv"), result.trace)
+    if result.aborted:
+        _log(f"{tag}_aborted", step=len(result.trace))
+        return 2
     rng = np.random.default_rng(train_cfg.seed)
     state = OptimState.for_params([])
     full = _make_checkpoint(result.params, result.head, state, len(result.trace),
@@ -254,29 +269,20 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
-    model_cfg, _, _ = build_configs({k: v for k, v in cfg.items()
-                                     if k.startswith("model.")})
-    get = lambda name, default: _coerce(cfg.get(f"ablate.{name}", json.dumps(default)))
-    axis = cfg.get("ablate.axis", args.axis)
-    if axis is None:
-        raise ConfigError("ablate needs an axis (--axis or ablate.axis)")
-    defaults = {"strategy": ["tube", "random", "frame"],
-                "ratio": [0.5, 0.75, 0.9],
-                "decoder_depth": [1, 2, 4],
-                "dataset_fraction": [0.25, 0.5, 1.0]}
-    values = get("values", defaults.get(axis, []))
-    spec = AblationSpec(
-        axis=axis, values=values, seeds=get("seeds", [0, 1, 2]),
-        model_cfg=model_cfg,
-        pretrain_clips=get("pretrain_clips", 16),
-        label_clips=get("label_clips", 4), eval_clips=get("eval_clips", 64),
-        regime=get("regime", "same_epochs"))
-    spec.pretrain_cfg = dataclasses.replace(spec.pretrain_cfg,
-                                            total_steps=get("pretrain_steps", 2000))
-    spec.finetune_cfg = dataclasses.replace(spec.finetune_cfg,
-                                            total_steps=get("finetune_steps", 200))
+    model_cfg = ModelConfig(**_typed(cfg, "model"))
+    given = _typed(cfg, "ablate")
+    steps = {k: given.pop(k) for k in _ABLATE_STEPS if k in given}
+    given.setdefault("axis", args.axis)
+    if given["axis"] not in AXES:
+        raise ConfigError(f"ablate needs an axis out of {sorted(AXES)} (--axis or ablate.axis), "
+                          f"got {given['axis']!r}")
+    given.setdefault("values", AXES[given["axis"]].defaults)
+    spec = AblationSpec(model_cfg=model_cfg, **given)
+    for key, attr in _ABLATE_STEPS.items():
+        if key in steps:
+            setattr(spec, attr, dataclasses.replace(getattr(spec, attr), total_steps=steps[key]))
     out = _resolve_out(args)
-    _log("ablate_start", axis=axis, cells=len(values) * len(spec.seeds))
+    _log("ablate_start", axis=spec.axis, cells=len(spec.values) * len(spec.seeds))
     rows = run_ablation(spec)
     write_report(os.path.join(out, "report.csv"), rows)
     for value, (mean, std) in summarize(rows).items():
@@ -318,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run an ablation sweep")
     common(p)
-    p.add_argument("--axis", choices=["strategy", "ratio", "decoder_depth",
-                                      "dataset_fraction"])
+    p.add_argument("--axis", choices=list(AXES))
     return parser
 
 

@@ -12,12 +12,13 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .masking import make_mask, leakage_probe
-from .model import ModelConfig, init_mae_params
+from .model import ModelConfig
 from .training import TrainConfig, finetune, pretrain, params_from_checkpoint
 from .video import synth_moving_sprites
 
@@ -27,9 +28,9 @@ REPORT_FIELDS = ("axis", "value", "seed", "accuracy", "final_pretrain_loss",
 
 @dataclass
 class AblationSpec:
-    axis: str  # strategy | ratio | decoder_depth | dataset_fraction
+    axis: str  # a key of AXES
     values: list
-    seeds: list = field(default_factory=lambda: [0, 1, 2])
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     model_cfg: ModelConfig = field(default_factory=lambda: ModelConfig(dims=(8, 5, 5)))
     pretrain_cfg: TrainConfig = field(default_factory=lambda: TrainConfig(
         mode="pretrain", total_steps=2000, base_lr=0.64, batch_size=4))
@@ -76,15 +77,10 @@ def _clip_size(model_cfg: ModelConfig) -> tuple[int, int, int]:
     return t * 2, h * 16, w * 16
 
 
-def _datasets(spec: AblationSpec, pretrain_clips: int | None = None):
-    size = _clip_size(spec.model_cfg)
-    n_pre = pretrain_clips or spec.pretrain_clips
-    kw = dict(size=size, noise_level=spec.noise_level,
-              sprite_extent=spec.sprite_extent)
-    pre = synth_moving_sprites(spec.data_seed, n_pre, **kw)
-    train = synth_moving_sprites(spec.data_seed + 1, spec.label_clips, **kw)
-    eval_ds = synth_moving_sprites(spec.data_seed + 2, spec.eval_clips, **kw)
-    return pre, train, eval_ds
+def _sprites(spec: AblationSpec, seed: int, count: int):
+    return synth_moving_sprites(seed, count, size=_clip_size(spec.model_cfg),
+                                noise_level=spec.noise_level,
+                                sprite_extent=spec.sprite_extent)
 
 
 def _mean_leakage(strategy: str, dims, ratio: float, n: int = 200) -> float:
@@ -110,100 +106,80 @@ def _run_cell(spec: AblationSpec, value, seed: int, pretrain_cfg: TrainConfig,
                      probe_mask.n_visible, wall)
 
 
-def run_strategy_ablation(spec: AblationSpec) -> list[ReportRow]:
-    """Compare masking strategies at (near-)equal ratio budgets."""
-    pre_ds, train_ds, eval_ds = _datasets(spec)
-    rows = []
-    for value in spec.values:
-        if isinstance(value, tuple):
-            strategy, ratio = value
-        else:
-            strategy, ratio = value, spec.pretrain_cfg.mask_ratio
-        if strategy == "frame":
-            # nearest achievable ratio on this grid: whole slices, >=1 visible
-            t = spec.model_cfg.dims[0]
-            ratio = min(t - 1, math.floor(ratio * t + 0.5)) / t
-        for seed in spec.seeds:
-            cfg = replace(spec.pretrain_cfg, mask_strategy=strategy,
-                          mask_ratio=ratio, seed=seed)
-            rows.append(_run_cell(spec, strategy, seed, cfg, spec.model_cfg,
-                                  pre_ds, train_ds, eval_ds))
-    return rows
+# Each axis maps one grid value to (report value, model config, pretrain
+# config, pretrain clip count); the cell's seed is set afterwards.
+
+def _strategy_cell(spec: AblationSpec, value):
+    """A strategy at the spec's ratio, or a (strategy, ratio) pair."""
+    strategy, ratio = value if isinstance(value, tuple) else (value, spec.pretrain_cfg.mask_ratio)
+    if strategy == "frame":
+        # nearest achievable ratio on this grid: whole slices, >=1 visible
+        t = spec.model_cfg.dims[0]
+        ratio = min(t - 1, math.floor(ratio * t + 0.5)) / t
+    cfg = replace(spec.pretrain_cfg, mask_strategy=strategy, mask_ratio=ratio)
+    return strategy, spec.model_cfg, cfg, spec.pretrain_clips
 
 
-def run_ratio_sweep(spec: AblationSpec) -> list[ReportRow]:
+def _ratio_cell(spec: AblationSpec, ratio):
     """Accuracy vs masking ratio, with the encoder token count per cell."""
-    pre_ds, train_ds, eval_ds = _datasets(spec)
-    rows = []
-    for ratio in spec.values:
-        if not 0.0 < ratio < 1.0:
-            raise ConfigError(f"ratio sweep values must be in (0, 1), got {ratio}")
-        for seed in spec.seeds:
-            cfg = replace(spec.pretrain_cfg, mask_ratio=float(ratio), seed=seed)
-            rows.append(_run_cell(spec, float(ratio), seed, cfg, spec.model_cfg,
-                                  pre_ds, train_ds, eval_ds))
-    return rows
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"ratio sweep values must be in (0, 1), got {ratio}")
+    cfg = replace(spec.pretrain_cfg, mask_ratio=float(ratio))
+    return float(ratio), spec.model_cfg, cfg, spec.pretrain_clips
 
 
-def decoder_activation_count(model_cfg: ModelConfig) -> int:
-    """Memory proxy: token activations held across decoder blocks."""
-    return model_cfg.depth_dec * model_cfg.n_tokens * model_cfg.d_dec
+def _decoder_depth_cell(spec: AblationSpec, depth):
+    if depth < 1:
+        raise ConfigError(f"decoder depth must be >= 1, got {depth}")
+    model_cfg = replace(spec.model_cfg, depth_dec=int(depth))
+    return int(depth), model_cfg, spec.pretrain_cfg, spec.pretrain_clips
 
 
-def run_decoder_depth_sweep(spec: AblationSpec) -> list[ReportRow]:
-    pre_ds, train_ds, eval_ds = _datasets(spec)
-    rows = []
-    for depth in spec.values:
-        if depth < 1:
-            raise ConfigError(f"decoder depth must be >= 1, got {depth}")
-        model_cfg = replace(spec.model_cfg, depth_dec=int(depth))
-        for seed in spec.seeds:
-            cfg = replace(spec.pretrain_cfg, seed=seed)
-            rows.append(_run_cell(spec, int(depth), seed, cfg, model_cfg,
-                                  pre_ds, train_ds, eval_ds))
-    return rows
-
-
-def run_data_efficiency_sweep(spec: AblationSpec) -> list[ReportRow]:
+def _dataset_fraction_cell(spec: AblationSpec, fraction):
     """Pretrain on a fraction of the clips, finetune on the full labeled set.
 
     same_epochs keeps the epoch count fixed (fewer steps on small fractions);
     same_iterations keeps the step count fixed (more epochs on small fractions).
     """
-    _, train_ds, eval_ds = _datasets(spec)
-    base_steps = spec.pretrain_cfg.step_budget(spec.pretrain_clips)[1]
-    rows = []
-    for fraction in spec.values:
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigError(f"dataset fraction must be in (0, 1], got {fraction}")
-        n = max(len(spec.model_cfg.dims), int(round(fraction * spec.pretrain_clips)))
-        n -= n % 4  # keep the class balance
-        n = max(4, n)
-        size = _clip_size(spec.model_cfg)
-        pre_ds = synth_moving_sprites(spec.data_seed, n, size=size,
-                                      noise_level=spec.noise_level,
-                                      sprite_extent=spec.sprite_extent)
-        for seed in spec.seeds:
-            if spec.regime == "same_iterations":
-                cfg = replace(spec.pretrain_cfg, seed=seed, total_steps=base_steps)
-            else:
-                spe_full = spec.pretrain_cfg.steps_per_epoch(spec.pretrain_clips)
-                epochs = base_steps / spe_full
-                steps = max(1, int(round(epochs * spec.pretrain_cfg.steps_per_epoch(n))))
-                cfg = replace(spec.pretrain_cfg, seed=seed, total_steps=steps)
-            rows.append(_run_cell(spec, float(fraction), seed, cfg, spec.model_cfg,
-                                  pre_ds, train_ds, eval_ds))
-    return rows
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"dataset fraction must be in (0, 1], got {fraction}")
+    n = int(round(fraction * spec.pretrain_clips))
+    n = max(4, n - n % 4)  # keep the class balance
+    steps = spec.pretrain_cfg.step_budget(spec.pretrain_clips)[1]
+    if spec.regime == "same_epochs":
+        epochs = steps / spec.pretrain_cfg.steps_per_epoch(spec.pretrain_clips)
+        steps = max(1, int(round(epochs * spec.pretrain_cfg.steps_per_epoch(n))))
+    return float(fraction), spec.model_cfg, replace(spec.pretrain_cfg, total_steps=steps), n
+
+
+class Axis(NamedTuple):
+    cell: Callable
+    defaults: list  # the grid `maskvid ablate` runs when no values are given
+
+
+AXES = {"strategy": Axis(_strategy_cell, ["tube", "random", "frame"]),
+        "ratio": Axis(_ratio_cell, [0.5, 0.75, 0.9]),
+        "decoder_depth": Axis(_decoder_depth_cell, [1, 2, 4]),
+        "dataset_fraction": Axis(_dataset_fraction_cell, [0.25, 0.5, 1.0])}
 
 
 def run_ablation(spec: AblationSpec) -> list[ReportRow]:
-    runner = {"strategy": run_strategy_ablation,
-              "ratio": run_ratio_sweep,
-              "decoder_depth": run_decoder_depth_sweep,
-              "dataset_fraction": run_data_efficiency_sweep}.get(spec.axis)
-    if runner is None:
+    """One pretrain -> finetune cell per (value, seed) of the spec's axis."""
+    axis = AXES.get(spec.axis)
+    if axis is None:
         raise ConfigError(f"unknown ablation axis {spec.axis!r}")
-    return runner(spec)
+    cells = [axis.cell(spec, value) for value in spec.values]
+    train_ds = _sprites(spec, spec.data_seed + 1, spec.label_clips)
+    eval_ds = _sprites(spec, spec.data_seed + 2, spec.eval_clips)
+    pre_ds = {}
+    rows = []
+    for value, model_cfg, pretrain_cfg, n_pre in cells:
+        if n_pre not in pre_ds:
+            pre_ds[n_pre] = _sprites(spec, spec.data_seed, n_pre)
+        for seed in spec.seeds:
+            rows.append(_run_cell(spec, value, seed, replace(pretrain_cfg, seed=seed),
+                                  model_cfg, pre_ds[n_pre], train_ds, eval_ds))
+    return rows
 
 
 def write_report(path: str, rows: list[ReportRow]):

@@ -54,9 +54,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-
     def zero_grad(self):
         self.grad = np.zeros_like(self.data)
 
@@ -65,33 +62,8 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 class Param:
@@ -208,24 +180,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _record(out, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
-
-    return _record(out, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _record(out, (a, b), bwd)
 
@@ -362,25 +316,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
 
 # -- reductions -------------------------------------------------------------
-
-def reduce_sum(x: Tensor) -> Tensor:
-    out = Tensor(np.array([x.data.sum()], dtype=x.dtype))
-
-    def bwd(g):
-        return (np.full_like(x.data, g.reshape(-1)[0]),)
-
-    return _record(out, (x,), bwd)
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    n = x.size
-    out = Tensor(np.array([x.data.mean()], dtype=x.dtype))
-
-    def bwd(g):
-        return (np.full_like(x.data, g.reshape(-1)[0] / n),)
-
-    return _record(out, (x,), bwd)
-
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
     n = x.shape[axis]

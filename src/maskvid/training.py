@@ -294,6 +294,42 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 # -- training loops ---------------------------------------------------------------
 
+def _train_steps(config: TrainConfig, n: int, rng: np.random.Generator,
+                 trainable: list[Param], state: OptimState, loss_of, start: int = 0,
+                 stop: int | None = None, lr_scales: dict[str, float] | None = None
+                 ) -> tuple[list, bool]:
+    """The step loop every trainer runs: lr, batch draw, zero-grad, tape, AdamW.
+
+    Steps start..stop of the schedule for n items. Each step draws the batch
+    indices from rng, then loss_of(indices) draws whatever else it needs and
+    returns the scalar loss. Returns the (step, lr, loss) trace and whether a
+    non-finite loss or gradient stopped the run. A stop leaves the parameters
+    and moments as the last finished step left them, and the trace ends
+    before the failed step.
+    """
+    warmup, total = config.step_budget(n)
+    peak = scaled_lr(config.base_lr, config.batch_size)
+    trace = []
+    for step in range(start, total if stop is None else min(total, stop)):
+        lr = cosine_warmup_lr(step, warmup, total, peak, config.lr_floor)
+        idx = rng.choice(n, size=config.batch_size, replace=n < config.batch_size)
+        for p in trainable:
+            p.zero_grad()
+        with Tape() as tape:
+            loss = loss_of(idx)
+            loss_val = loss.item()
+            if not math.isfinite(loss_val):
+                return trace, True
+            tape.backward(loss)
+        try:
+            adamw_step(trainable, state, lr, config.beta1, config.beta2,
+                       config.weight_decay, lr_scales=lr_scales)
+        except NumericError:
+            return trace, True
+        trace.append((step, lr, loss_val))
+    return trace, False
+
+
 @dataclass
 class PretrainResult:
     checkpoint: Checkpoint
@@ -357,6 +393,14 @@ def pretrain(config: TrainConfig, dataset, params: MAEParams | None = None,
             raise ConfigError("resume under a different config: " + ", ".join(
                 f"{k} {resume.config.get(k)} -> {config_snap.get(k)}" for k in differ))
 
+    mask_dims = (model_cfg.dims[0], model_cfg.spatial_sites)
+    # counts are exact per strategy, so one throwaway draw tells, and the
+    # run's own rng is left untouched
+    if make_mask(config.mask_strategy, mask_dims, config.mask_ratio,
+                 np.random.default_rng(0)).n_visible == 0:
+        raise ConfigError(f"{config.mask_strategy} masking at ratio {config.mask_ratio} leaves "
+                          f"no visible token on the (T', S) = {mask_dims} grid")
+
     n = len(dataset)
     grids, targets = _clip_grids(dataset)
     if config.flip_augment:
@@ -365,9 +409,6 @@ def pretrain(config: TrainConfig, dataset, params: MAEParams | None = None,
         fgrids, ftargets = _clip_grids(flipped)
         grids, targets = np.concatenate([grids, fgrids]), np.concatenate([targets, ftargets])
 
-    mask_dims = (model_cfg.dims[0], model_cfg.spatial_sites)
-    warmup, total = config.step_budget(len(dataset))
-    peak = scaled_lr(config.base_lr, config.batch_size)
     state = OptimState.for_params(params.values())
     start_step = 0
     rng = np.random.default_rng(config.seed)
@@ -378,39 +419,21 @@ def pretrain(config: TrainConfig, dataset, params: MAEParams | None = None,
         start_step = resume.step
         rng.bit_generator.state = resume.rng_state
 
-    end = total if stop_step is None else min(total, stop_step)
-    trace = []
-    for step in range(start_step, end):
-        lr = cosine_warmup_lr(step, warmup, total, peak, config.lr_floor)
-        idx = rng.choice(n, size=config.batch_size, replace=n < config.batch_size)
+    def loss_of(idx):
         masks = [make_mask(config.mask_strategy, mask_dims, config.mask_ratio, rng)
                  for _ in idx]
         if config.flip_augment:
             idx = idx + n * (rng.random(config.batch_size) < 0.5)
         visible = np.stack([m.visible_indices for m in masks])
         masked = np.stack([m.masked_indices for m in masks])
-        params.zero_grad()
-        with Tape() as tape:
-            # masked_mse_loss, bitwise, without decoding the visible rows
-            pred = mae_forward_batch(grids[idx], visible, params, masked)
-            loss = tk.mse(pred, targets[idx[:, None], masked])
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                # params are still the pre-step values: nothing was mutated yet
-                return PretrainResult(
-                    _make_checkpoint(params, None, state, step, config_snap, rng),
-                    trace, aborted=True)
-            tape.backward(loss)
-        try:
-            adamw_step(params.values(), state, lr, config.beta1, config.beta2,
-                       config.weight_decay)
-        except NumericError:
-            return PretrainResult(
-                _make_checkpoint(params, None, state, step, config_snap, rng),
-                trace, aborted=True)
-        trace.append((step, lr, loss_val))
-    ckpt = _make_checkpoint(params, None, state, end, config_snap, rng)
-    return PretrainResult(ckpt, trace)
+        # masked_mse_loss, bitwise, without decoding the visible rows
+        pred = mae_forward_batch(grids[idx], visible, params, masked)
+        return tk.mse(pred, targets[idx[:, None], masked])
+
+    trace, aborted = _train_steps(config, n, rng, list(params.values()), state, loss_of,
+                                  start_step, stop_step)
+    ckpt = _make_checkpoint(params, None, state, start_step + len(trace), config_snap, rng)
+    return PretrainResult(ckpt, trace, aborted)
 
 
 @dataclass
@@ -419,6 +442,7 @@ class EvalResult:
     params: MAEParams
     head: dict[str, Param]
     trace: list
+    aborted: bool = False  # a non-finite loss or gradient stopped training
 
 
 def _eval_accuracy(params: MAEParams, head: dict[str, Param], dataset,
@@ -434,31 +458,21 @@ def _eval_accuracy(params: MAEParams, head: dict[str, Param], dataset,
 
 def _supervised_loop(params: MAEParams, train_ds, eval_ds, config: TrainConfig,
                      trainable, lr_scales=None) -> EvalResult:
+    """Cross-entropy training; an aborted run is not evaluated (accuracy nan)."""
     head = init_head_params(params.config, seed=config.seed)
     all_trainable = list(trainable) + list(head.values())
-    state = OptimState.for_params(all_trainable)
-    warmup, total = config.step_budget(len(train_ds))
-    peak = scaled_lr(config.base_lr, config.batch_size)
-    rng = np.random.default_rng(config.seed)
     n = len(train_ds)
     labels_all = np.array([train_ds[i][1] for i in range(n)])
-    trace = []
-    for step in range(total):
-        lr = cosine_warmup_lr(step, warmup, total, peak, config.lr_floor)
-        idx = rng.choice(n, size=config.batch_size, replace=n < config.batch_size)
-        clips = [train_ds[int(i)][0] for i in idx]
-        for p in all_trainable:
-            p.zero_grad()
-        with Tape() as tape:
-            logits = classify(clips, params, head)
-            loss = tk.cross_entropy(logits, labels_all[idx])
-            loss_val = loss.item()
-            tape.backward(loss)
-        adamw_step(all_trainable, state, lr, config.beta1, config.beta2,
-                   config.weight_decay, lr_scales=lr_scales)
-        trace.append((step, lr, loss_val))
-    acc = _eval_accuracy(params, head, eval_ds)
-    return EvalResult(acc, params, head, trace)
+
+    def loss_of(idx):
+        logits = classify([train_ds[int(i)][0] for i in idx], params, head)
+        return tk.cross_entropy(logits, labels_all[idx])
+
+    trace, aborted = _train_steps(config, n, np.random.default_rng(config.seed), all_trainable,
+                                  OptimState.for_params(all_trainable), loss_of,
+                                  lr_scales=lr_scales)
+    acc = float("nan") if aborted else _eval_accuracy(params, head, eval_ds)
+    return EvalResult(acc, params, head, trace, aborted)
 
 
 def finetune(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds,

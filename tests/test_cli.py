@@ -72,10 +72,16 @@ def test_config_file_parsing(tmp_path):
     assert len(trace) == 3  # header + 2 steps
 
 
-@pytest.mark.parametrize("override", ["model.d_enc=abc", "model.dims=8,x,4",
-                                      "train.flip_augment=1"])
-def test_badly_typed_config_value_exits_one_without_traceback(tmp_path, override):
-    res = run_cli(["pretrain", "--set", override], tmp_path)
+_BADLY_TYPED = [("pretrain", "model.d_enc=abc"), ("pretrain", "model.dims=8,x,4"),
+                ("pretrain", "train.flip_augment=1"), ("pretrain", "data.count=abc"),
+                ("pretrain", "data.seed=1.5"), ("ablate", "ablate.seeds=abc"),
+                ("ablate", "ablate.values=0.5"), ("ablate", "ablate.pretrain_clips=x")]
+
+
+@pytest.mark.parametrize("command,override", _BADLY_TYPED, ids=[o for _, o in _BADLY_TYPED])
+def test_badly_typed_config_value_exits_one_without_traceback(tmp_path, command, override):
+    axis = ["--axis", "ratio"] if command == "ablate" else []
+    res = run_cli([command, *axis, "--set", override], tmp_path)
     assert res.returncode == 1
     assert "event=config_error" in res.stdout
     assert override.split("=")[0] in res.stdout
@@ -138,6 +144,22 @@ def test_probe_from_checkpoint(tmp_path):
                    "--out", str(tmp_path / "probe")], tmp_path)
     assert res.returncode == 0, res.stderr + res.stdout
     assert "accuracy=" in res.stdout
+
+
+def test_finetune_that_diverges_exits_two_with_its_loss_trace(tmp_path):
+    from maskvid.training import load_checkpoint, save_checkpoint
+    ckpt_path = str(_pretrain(tmp_path) / "checkpoint.ckpt")
+    ckpt = load_checkpoint(ckpt_path)
+    ckpt.params["enc/norm/g"][0] = np.nan
+    save_checkpoint(ckpt, ckpt_path)
+    ftdir = tmp_path / "ft"
+    res = run_cli(["finetune", "--checkpoint", ckpt_path, *TINY_TRAIN,
+                   "--set", "train.mode=finetune", "--set", "data.label_count=4",
+                   "--set", "data.eval_count=4", "--out", str(ftdir)], tmp_path)
+    assert res.returncode == 2, res.stderr + res.stdout
+    assert "event=finetune_aborted" in res.stdout
+    assert "Traceback" not in res.stderr
+    assert (ftdir / "finetune_loss.csv").read_text() == "step,lr,loss\n"
 
 
 def test_missing_checkpoint_exits_one(tmp_path):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from maskvid.errors import ConfigError
-from maskvid.experiments import (AblationSpec, ReportRow, REPORT_FIELDS,
-                                 decoder_activation_count, run_ablation,
+from maskvid.experiments import (AblationSpec, ReportRow, REPORT_FIELDS, run_ablation,
                                  summarize, write_report)
 from maskvid.model import ModelConfig
 from maskvid.training import TrainConfig
@@ -68,15 +67,6 @@ def test_unknown_axis_rejected():
 def test_regime_validation():
     with pytest.raises(ConfigError):
         _fast_spec(regime="same_flops")
-
-
-def test_decoder_activation_count_linear_in_depth():
-    cfg = ModelConfig()
-    a1 = decoder_activation_count(ModelConfig(depth_dec=1))
-    a2 = decoder_activation_count(ModelConfig(depth_dec=2))
-    a4 = decoder_activation_count(ModelConfig(depth_dec=4))
-    assert a2 == 2 * a1 and a4 == 4 * a1
-    assert a1 == cfg.n_tokens * cfg.d_dec
 
 
 def test_dataset_fraction_same_epochs_scales_steps():

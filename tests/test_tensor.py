@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,13 @@ from maskvid.tensor import Param, Tape, Tensor, finite_diff_check
 
 def _param(rng, shape, name):
     return Param(rng.standard_normal(shape), name, dtype=np.float64)
+
+
+def _dot(y, u):
+    """sum(y * u) as a (1, 1) tensor, from kept primitives: y's gradient is exactly u."""
+    flat = tk.reshape(y, (1, y.size))
+    w = Tensor(np.asarray(u, dtype=y.dtype).reshape(-1, 1))
+    return tk.linear(flat, w, Tensor(np.zeros(1, dtype=y.dtype)))
 
 
 def _grad_of(f, params):
@@ -124,14 +132,6 @@ def test_softmax_handles_large_scores():
     np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-12)
 
 
-def test_reductions_return_scalar_shaped_tensors():
-    x = Tensor(np.arange(6.0).reshape(2, 3))
-    assert tk.reduce_sum(x).shape == (1,)
-    assert tk.reduce_mean(x).shape == (1,)
-    assert tk.reduce_sum(x).item() == 15.0
-    assert tk.reduce_mean(x).item() == 2.5
-
-
 def test_gather_rows_picks_requested_rows():
     x = Tensor(np.arange(12.0).reshape(4, 3))
     out = tk.gather_rows(x, np.array([2, 0]))
@@ -161,7 +161,7 @@ def test_scatter_rows_places_visible_and_fills_rest():
 
 
 def test_mse_equals_composed_chain_bitwise():
-    """One fused op, same bits as sub -> mul -> reduce_mean on gathered rows."""
+    """One fused op, same bits as a plain-numpy difference, square and mean."""
     rng = np.random.default_rng(5)
     for dtype, shape in ((np.float32, (3, 10, 6)), (np.float64, (10, 6)),
                          (np.float32, (4, 200, 1536))):
@@ -172,17 +172,21 @@ def test_mse_equals_composed_chain_bitwise():
         masked = np.sort(rng.random(shape[:-1]).argsort(axis=-1)[..., :n // 2 + 1], axis=-1)
         target_rows = np.take_along_axis(targets, masked[..., None], axis=-2)
 
-        def chain():
-            diff = tk.sub(tk.gather_rows(pred.value, masked),
-                          Tensor(target_rows.astype(dtype)))
-            return tk.reduce_mean(tk.mul(diff, diff))
+        # the chain: diff = rows - targets, mean(diff * diff); d/d(diff) is
+        # (1/n) * diff from each factor, summed, then scattered back
+        diff = (np.take_along_axis(pred.value.data, masked[..., None], axis=-2)
+                - target_rows.astype(dtype))
+        want = np.array([(diff * diff).mean()], dtype=dtype)
+        per_entry = np.full_like(diff, np.ones(1, dtype=dtype)[0] / diff.size)
+        want_grad = np.zeros_like(pred.value.data)
+        np.put_along_axis(want_grad, masked[..., None], per_entry * diff + per_entry * diff,
+                          axis=-2)
 
         def fused():
             return tk.mse(tk.gather_rows(pred.value, masked), target_rows)
 
-        want_grad, = _grad_of(chain, [pred])
         got_grad, = _grad_of(fused, [pred])
-        want, got = chain().data, fused().data
+        got = fused().data
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert got_grad.tobytes() == want_grad.tobytes()
     with pytest.raises(ContractError):
@@ -202,11 +206,11 @@ def test_linear_rows_bias_gradient_is_bitwise_the_full_grid_one():
 
     def full():
         y = tk.gather_rows(tk.linear(Tensor(x), eye, bias.value), rows)
-        return tk.reduce_sum(tk.mul(y, Tensor(upstream)))
+        return _dot(y, upstream)
 
     def subset():
         y = tk.linear(tk.gather_rows(Tensor(x), rows), eye, bias.value, rows)
-        return tk.reduce_sum(tk.mul(y, Tensor(upstream)))
+        return _dot(y, upstream)
 
     want, = _grad_of(full, [bias])
     got, = _grad_of(subset, [bias])
@@ -237,13 +241,26 @@ def test_matmul_computes_no_gradient_for_an_operand_without_requires_grad(frozen
         np.testing.assert_allclose(ga, g @ b.value.data.T, rtol=1e-5)
 
 
+def _recording_primitives() -> set:
+    return {name for name, fn in vars(tk).items()
+            if inspect.isfunction(fn) and not name.startswith("_")
+            and fn.__module__ == tk.__name__ and "_record" in fn.__code__.co_names}
+
+
 def test_every_recording_primitive_has_a_gradient_check():
     from maskvid.gradsuite import primitive_checks
-    recording = {name for name, fn in vars(tk).items()
-                 if inspect.isfunction(fn) and not name.startswith("_")
-                 and fn.__module__ == tk.__name__ and "_record" in fn.__code__.co_names}
+    recording = _recording_primitives()
     assert {"linear", "attention", "gather_rows", "scatter_rows", "mse"} <= recording
     assert recording <= set(primitive_checks())
+
+
+def test_every_recording_primitive_has_a_model_caller():
+    # a primitive that only tests or the gradient suite call is dead weight
+    from maskvid import model, training
+    source = "".join(inspect.getsource(m) for m in (model, training, tk.attention_block))
+    uncalled = {name for name in _recording_primitives()
+                if not re.search(rf"(?<![\w.])(tk\.)?{name}\(", source)}
+    assert not uncalled, f"recording primitives with no model or training caller: {uncalled}"
 
 
 def test_cross_entropy_uniform_logits_is_log_k():
@@ -254,29 +271,18 @@ def test_cross_entropy_uniform_logits_is_log_k():
 
 # -- backward oracles ---------------------------------------------------------
 
-def test_backward_of_sum_is_ones():
-    p = _param(np.random.default_rng(0), (3, 2), "p")
-    (g,) = _grad_of(lambda: tk.reduce_sum(p.value), [p])
-    np.testing.assert_array_equal(g, np.ones((3, 2)))
-
-
-def test_backward_of_mean_is_one_over_n():
-    p = _param(np.random.default_rng(0), (4,), "p")
-    (g,) = _grad_of(lambda: tk.reduce_mean(p.value), [p])
-    np.testing.assert_allclose(g, np.full(4, 0.25))
-
-
 def test_backward_square_is_two_x():
     rng = np.random.default_rng(4)
     p = _param(rng, (5,), "p")
-    (g,) = _grad_of(lambda: tk.reduce_sum(tk.mul(p.value, p.value)), [p])
-    np.testing.assert_allclose(g, 2.0 * p.value.data, rtol=1e-12)
+    # mean of the 5 squares: d/dp = 2p / 5
+    (g,) = _grad_of(lambda: tk.mse(p.value, np.zeros(5)), [p])
+    np.testing.assert_allclose(5.0 * g, 2.0 * p.value.data, rtol=1e-12)
 
 
 def test_grad_accumulates_when_param_used_twice():
     rng = np.random.default_rng(5)
     p = _param(rng, (3,), "p")
-    (g,) = _grad_of(lambda: tk.reduce_sum(tk.add(p.value, p.value)), [p])
+    (g,) = _grad_of(lambda: _dot(tk.add(p.value, p.value), np.ones(3)), [p])
     np.testing.assert_array_equal(g, np.full(3, 2.0))
 
 
@@ -284,7 +290,7 @@ def test_broadcast_add_backward_sums_over_broadcast_axis():
     rng = np.random.default_rng(6)
     x = _param(rng, (4, 3), "x")
     b = _param(rng, (3,), "b")
-    _, gb = _grad_of(lambda: tk.reduce_sum(tk.add(x.value, b.value)), [x, b])
+    _, gb = _grad_of(lambda: _dot(tk.add(x.value, b.value), np.ones((4, 3))), [x, b])
     np.testing.assert_allclose(gb, np.full(3, 4.0))
 
 
@@ -293,8 +299,8 @@ def test_matmul_backward_matches_hand_formula():
     a = _param(rng, (3, 4), "a")
     b = _param(rng, (4, 2), "b")
     bias = _param(rng, (2,), "bias")
-    ga, gb, gbias = _grad_of(lambda: tk.reduce_sum(tk.linear(a.value, b.value, bias.value)),
-                             [a, b, bias])
+    ga, gb, gbias = _grad_of(
+        lambda: _dot(tk.linear(a.value, b.value, bias.value), np.ones((3, 2))), [a, b, bias])
     ones = np.ones((3, 2))
     np.testing.assert_allclose(ga, ones @ b.value.data.T, rtol=1e-12)
     np.testing.assert_allclose(gb, a.value.data.T @ ones, rtol=1e-12)
@@ -311,7 +317,7 @@ def test_composite_expression_passes_finite_difference(seed):
     def f():
         y = tk.gelu(tk.linear(a.value, b.value, Tensor(np.zeros(3))))
         y = tk.layer_norm(y, g.value, Tensor(np.zeros(3)))
-        return tk.reduce_mean(tk.mul(y, tk.attention(y, y, y, heads=1)))
+        return tk.mse(tk.add(y, tk.attention(y, y, y, heads=1)), np.zeros(y.shape))
 
     assert finite_diff_check(f, [a, b, g]) < 1e-6
 
@@ -328,7 +334,7 @@ def test_softmax_backward_rows_orthogonal_to_ones(seed):
     up = rng.standard_normal((2, 4, 6))
 
     def f():
-        return tk.reduce_sum(tk.mul(tk.attention(q.value, k.value, v.value, 2), Tensor(up)))
+        return _dot(tk.attention(q.value, k.value, v.value, 2), up)
 
     (g,) = _grad_of(f, [k])
     np.testing.assert_allclose(g.sum(axis=-2), np.zeros((2, 6)), atol=1e-10)
@@ -341,9 +347,7 @@ def test_attention_block_preserves_shape_and_differentiates():
     out = tk.attention_block(x.value, blk, "blk", heads=2)
     assert out.shape == (5, 8)
     err = finite_diff_check(
-        lambda: tk.reduce_mean(tk.mul(
-            tk.attention_block(x.value, blk, "blk", heads=2),
-            tk.attention_block(x.value, blk, "blk", heads=2))),
+        lambda: tk.mse(tk.attention_block(x.value, blk, "blk", heads=2), np.zeros((5, 8))),
         [x], samples_per_param=10)
     assert err < 1e-5
 
@@ -370,12 +374,12 @@ def test_backward_requires_scalar_loss():
     p = _param(np.random.default_rng(0), (3,), "p")
     with pytest.raises(ContractError):
         with Tape() as tape:
-            tape.backward(tk.mul(p.value, p.value))
+            tape.backward(tk.add(p.value, p.value))
 
 
 def test_no_tape_means_no_recording():
     p = _param(np.random.default_rng(0), (3,), "p")
-    out = tk.mul(p.value, p.value)  # outside any tape
+    out = tk.add(p.value, p.value)  # outside any tape
     assert out.data.shape == (3,)
     assert np.all(p.grad == 0.0)
 
@@ -397,7 +401,8 @@ def test_deterministic_forward_backward():
         rng = np.random.default_rng(11)
         a = _param(rng, (4, 4), "a")
         (g,) = _grad_of(
-            lambda: tk.reduce_sum(tk.gelu(tk.linear(a.value, a.value, Tensor(np.zeros(4))))), [a])
+            lambda: _dot(tk.gelu(tk.linear(a.value, a.value, Tensor(np.zeros(4)))), np.ones((4, 4))),
+            [a])
         return g
 
     np.testing.assert_array_equal(run(), run())

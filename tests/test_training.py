@@ -373,6 +373,19 @@ def test_finetune_moves_encoder_weights():
     assert np.abs(params["enc/block0/wq"].value.data - before).max() > 0.0
 
 
+@pytest.mark.parametrize("runner", [finetune, linear_probe], ids=["finetune", "linear_probe"])
+def test_supervised_loops_stop_cleanly_on_a_non_finite_loss(runner):
+    params = init_mae_params(_tiny_cfg_64(), seed=0)
+    params["enc/norm/g"].value.data[0] = np.nan
+    before = {n: params[n].value.data.copy() for n in params.names()}
+    ds = synth_moving_sprites(seed=0, count=4, noise_level=0.0)
+    cfg = TrainConfig(mode="finetune", batch_size=2, total_steps=3, seed=0)
+    result = runner(params, ds, ds, cfg)
+    assert result.aborted and result.trace == []
+    for n in params.names():
+        np.testing.assert_array_equal(params[n].value.data, before[n])
+
+
 def test_finetune_rejects_geometry_mismatch():
     params = init_mae_params(_tiny_cfg(), seed=0)  # (2,2,2) grid
     ds = synth_moving_sprites(seed=0, count=4)     # (8,4,4) grid clips
@@ -391,6 +404,18 @@ def test_pretrain_aborts_on_divergence_with_last_good_params():
             assert np.isfinite(arr).all()
     else:
         pytest.skip("divergence not triggered at this scale")
+
+
+@pytest.mark.parametrize("strategy,ratio", [("tube", 0.99), ("random", 0.999), ("frame", 0.95)])
+def test_pretrain_rejects_a_ratio_with_no_visible_token_before_setup(monkeypatch, strategy, ratio):
+    def no_setup(dataset):
+        raise AssertionError("cube grids were built before the ratio was checked")
+
+    monkeypatch.setattr("maskvid.training._clip_grids", no_setup)
+    ds = synth_moving_sprites(seed=0, count=4)  # (8, 4, 4): 8 slices of 16 sites
+    cfg = TrainConfig(mask_strategy=strategy, mask_ratio=ratio, total_steps=1)
+    with pytest.raises(ConfigError, match=rf"{strategy}.*{ratio}.*\(8, 16\)"):
+        pretrain(cfg, ds, model_cfg=DESK)
 
 
 def test_snapshot_config_round_trips_model_geometry():
