@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from maskvid.masking import mask_to_text, tube_mask
+from maskvid.masking import make_mask, mask_to_text
 from maskvid.model import desk_config, mae_forward
 from maskvid.training import TrainConfig, params_from_checkpoint, pretrain
 from maskvid.video import CubeGrid, cubify, decubify, synth_moving_sprites
@@ -28,7 +28,7 @@ def main():
     grid = cubify(clip)
     print(f"token grid {grid.dims} -> {grid.tokens.shape[0]} cubes of width {grid.tokens.shape[1]}")
 
-    mask = tube_mask((8, 16), 0.9, np.random.default_rng(0))
+    mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
     print(f"tube mask: {mask.n_masked} masked / {mask.n_visible} visible tokens")
     print(mask_to_text(mask))
 

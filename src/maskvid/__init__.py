@@ -3,8 +3,7 @@
 from .errors import (CheckpointError, ConfigError, ContractError,
                      DimensionError, GenerationError, MaskvidError,
                      NumericError, SamplingError)
-from .masking import (MaskMap, frame_mask, leakage_probe, make_mask,
-                      random_mask, tube_mask)
+from .masking import MaskMap, leakage_probe, make_mask
 from .model import (MAEOutput, MAEParams, ModelConfig, classify, cube_embed,
                     decode, desk_config, encode, init_head_params,
                     init_mae_params, mae_forward, pos_embed_table,

@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-import types
-import typing
 
 import numpy as np
 
@@ -23,19 +20,13 @@ from .errors import MaskvidError, ConfigError, NumericError
 from .experiments import AXES, AblationSpec, run_ablation, summarize, write_report
 from .masking import STRATEGIES, make_mask, mask_to_text
 from .model import ModelConfig, mae_forward
-from .training import (TrainConfig, finetune, linear_probe, load_checkpoint,
-                       params_from_checkpoint, pretrain, save_checkpoint,
-                       snapshot_config, write_loss_trace, _make_checkpoint,
+from .training import (SNAPSHOT_FIELDS, TrainConfig, decode_config, field_types, finetune,
+                       linear_probe, load_checkpoint, params_from_checkpoint, pretrain,
+                       save_checkpoint, snapshot_config, write_loss_trace, _make_checkpoint,
                        OptimState)
 from .video import (CubeGrid, VideoClip, cubify, decubify, read_raw_clip,
                     synth_moving_sprites)
 from .viz import frame_to_image, gray_masked_cubes, mask_heatmap, write_ppm
-
-
-def _field_types(cls) -> dict:
-    """Field name -> resolved annotation, read from the dataclass itself."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
 _DATA_DEFAULTS = {"count": 64, "seed": 0, "raw_path": "", "label_count": 32,
@@ -43,9 +34,9 @@ _DATA_DEFAULTS = {"count": 64, "seed": 0, "raw_path": "", "label_count": 32,
 # ablate.* keys: AblationSpec fields, plus the two runs' step budgets
 _ABLATE_STEPS = {"pretrain_steps": "pretrain_cfg", "finetune_steps": "finetune_cfg"}
 _FIELD_TYPES = {
-    "model": _field_types(ModelConfig), "train": _field_types(TrainConfig),
+    **SNAPSHOT_FIELDS,
     "data": {k: type(v) for k, v in _DATA_DEFAULTS.items()},
-    "ablate": {**{k: v for k, v in _field_types(AblationSpec).items()
+    "ablate": {**{k: v for k, v in field_types(AblationSpec).items()
                   if k in ("axis", "values", "seeds", "pretrain_clips", "label_clips",
                            "eval_clips", "regime")},
                **dict.fromkeys(_ABLATE_STEPS, int)},
@@ -71,62 +62,10 @@ def parse_config_file(path: str) -> dict[str, str]:
     return cfg
 
 
-def _validate_keys(cfg: dict[str, str]):
-    for key in cfg:
-        prefix, _, name = key.partition(".")
-        if name not in _FIELD_TYPES.get(prefix, ()):
-            raise ConfigError(f"unknown config key {key!r}")
-
-
-def _coerce(value: str):
-    try:
-        return json.loads(value)
-    except json.JSONDecodeError:
-        return value
-
-
-def _has_type(value, hint) -> bool:
-    """Whether a decoded config value fits a config field's annotation."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is types.UnionType:
-        return any(_has_type(value, h) for h in args)
-    if typing.get_origin(hint) is tuple:
-        return (isinstance(value, tuple) and len(value) == len(args)
-                and all(map(_has_type, value, args)))
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def _typed(cfg: dict[str, str], prefix: str) -> dict:
-    """The prefix's keys as name -> decoded value, each checked against its type."""
-    out = {}
-    for key, raw in cfg.items():
-        if not key.startswith(prefix + "."):
-            continue
-        name = key[len(prefix) + 1:]
-        val = _coerce(raw)
-        if key == "model.dims" and isinstance(val, list):
-            val = tuple(val)  # the JSON form snapshot_config writes: [8, 4, 4]
-        elif key == "model.dims":
-            try:
-                val = tuple(int(x) for x in str(raw).split(",") if x != "")
-            except ValueError:
-                raise ConfigError(f"{key} expects comma-separated integers, got {raw!r}") from None
-        hint = _FIELD_TYPES[prefix][name]
-        if not _has_type(val, hint):
-            raise ConfigError(f"{key}={raw!r} does not fit its type {hint}")
-        out[name] = val
-    return out
-
-
 def build_configs(cfg: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dict]:
-    return (ModelConfig(**_typed(cfg, "model")), TrainConfig(**_typed(cfg, "train")),
-            {**_DATA_DEFAULTS, **_typed(cfg, "data")})
+    typed = decode_config(cfg, _FIELD_TYPES)
+    return (ModelConfig(**typed["model"]), TrainConfig(**typed["train"]),
+            {**_DATA_DEFAULTS, **typed["data"]})
 
 
 def _resolve_out(args) -> str:
@@ -141,7 +80,7 @@ def _write_resolved(cfg: dict[str, str], out: str, name: str = "resolved.cfg"):
             fh.write(f"{key}={cfg[key]}\n")
 
 
-def _load_cfg(args, extra: dict[str, str] | None = None) -> dict[str, str]:
+def _load_cfg(args) -> dict[str, str]:
     cfg = parse_config_file(args.config) if args.config else {}
     for override in args.set or []:
         if "=" not in override:
@@ -150,9 +89,6 @@ def _load_cfg(args, extra: dict[str, str] | None = None) -> dict[str, str]:
         cfg[key] = val
     if getattr(args, "seed", None) is not None:
         cfg["train.seed"] = str(args.seed)
-    if extra:
-        cfg.update(extra)
-    _validate_keys(cfg)
     return cfg
 
 
@@ -269,25 +205,28 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
-    model_cfg = ModelConfig(**_typed(cfg, "model"))
-    given = _typed(cfg, "ablate")
-    steps = {k: given.pop(k) for k in _ABLATE_STEPS if k in given}
+    typed = decode_config(cfg, _FIELD_TYPES)
+    given = typed["ablate"]
+    # model.* keys and step budgets override the spec's own configs
+    overrides = {"model_cfg": typed["model"]}
+    overrides.update((attr, {"total_steps": given.pop(key)})
+                     for key, attr in _ABLATE_STEPS.items() if key in given)
     given.setdefault("axis", args.axis)
     if given["axis"] not in AXES:
         raise ConfigError(f"ablate needs an axis out of {sorted(AXES)} (--axis or ablate.axis), "
                           f"got {given['axis']!r}")
     given.setdefault("values", AXES[given["axis"]].defaults)
-    spec = AblationSpec(model_cfg=model_cfg, **given)
-    for key, attr in _ABLATE_STEPS.items():
-        if key in steps:
-            setattr(spec, attr, dataclasses.replace(getattr(spec, attr), total_steps=steps[key]))
+    spec = AblationSpec(**given)
+    for attr, changes in overrides.items():
+        setattr(spec, attr, dataclasses.replace(getattr(spec, attr), **changes))
     out = _resolve_out(args)
     _log("ablate_start", axis=spec.axis, cells=len(spec.values) * len(spec.seeds))
     rows = run_ablation(spec)
     write_report(os.path.join(out, "report.csv"), rows)
     for value, (mean, std) in summarize(rows).items():
         _log("ablate_cell", value=value, mean_accuracy=f"{mean:.4f}", std=f"{std:.4f}")
-    _write_resolved(cfg, out)
+    used = snapshot_config(spec.model_cfg, spec.pretrain_cfg)
+    _write_resolved({**cfg, **{k: v for k, v in used.items() if k.startswith("model.")}}, out)
     return 0
 
 

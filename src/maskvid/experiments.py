@@ -110,8 +110,12 @@ def _run_cell(spec: AblationSpec, value, seed: int, pretrain_cfg: TrainConfig,
 # config, pretrain clip count); the cell's seed is set afterwards.
 
 def _strategy_cell(spec: AblationSpec, value):
-    """A strategy at the spec's ratio, or a (strategy, ratio) pair."""
-    strategy, ratio = value if isinstance(value, tuple) else (value, spec.pretrain_cfg.mask_ratio)
+    """A strategy at the spec's ratio, or a (strategy, ratio) pair (a list from JSON)."""
+    pair = value if isinstance(value, (tuple, list)) else (value, spec.pretrain_cfg.mask_ratio)
+    if len(pair) != 2 or not isinstance(pair[1], (int, float)) or not 0.0 <= pair[1] < 1.0:
+        raise ConfigError(f"strategy values are a strategy or a (strategy, ratio in [0, 1)) "
+                          f"pair, got {value!r}")
+    strategy, ratio = pair
     if strategy == "frame":
         # nearest achievable ratio on this grid: whole slices, >=1 visible
         t = spec.model_cfg.dims[0]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tk
-from .masking import tube_mask
+from .masking import make_mask
 from .model import ModelConfig, init_mae_params, init_head_params, mae_forward, classify
 from .tensor import Param, Tensor, finite_diff_check
 from .training import masked_mse_loss
@@ -139,7 +139,7 @@ def mae_forward_check(samples_per_param: int = 4, seed: int = 0,
     params = _generic_mae_params(cfg, rng)
     t, h, w = cfg.dims
     clip = VideoClip(rng.random((3, 2 * t, 16 * h, 16 * w)))
-    mask = tube_mask((t, h * w), 0.9, rng)
+    mask = make_mask("tube", (t, h * w), 0.9, rng)
 
     def f():
         out = mae_forward(clip, mask, params)

@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-STRATEGIES = ("tube", "random", "frame")
+# the (T', S) axes each strategy draws over
+_DRAWN_AXES = {"tube": (False, True), "random": (True, True), "frame": (True, False)}
+STRATEGIES = tuple(_DRAWN_AXES)
 
 
 def _round_half_up(x: float) -> int:
@@ -34,7 +36,6 @@ class MaskMap:
     mask: np.ndarray
     ratio: float
     strategy: str
-    seed: object = None
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -58,57 +59,23 @@ class MaskMap:
         return np.flatnonzero(~self.mask.reshape(-1))
 
 
-def _check_ratio(ratio: float):
+def make_mask(strategy: str, dims: tuple[int, int], ratio: float, rng) -> MaskMap:
+    """Mask round(ratio * population) members of the strategy's population.
+
+    The population is the S spatial sites for tube, the T'*S tokens for
+    random and the T' temporal slices for frame; a drawn member is masked
+    along every axis the strategy does not draw over.
+    """
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown masking strategy {strategy!r}")
     if not 0.0 <= ratio < 1.0:
         raise ConfigError(f"masking ratio must be in [0, 1), got {ratio}")
-
-
-def tube_mask(dims: tuple[int, int], ratio: float, rng) -> MaskMap:
-    """Mask round(ratio*S) spatial sites at every temporal index."""
-    _check_ratio(ratio)
-    t, s = dims
-    gen = _rng(rng)
-    n_sites = _round_half_up(ratio * s)
-    sites = gen.choice(s, size=n_sites, replace=False)
-    mask = np.zeros((t, s), dtype=bool)
-    mask[:, sites] = True
-    return MaskMap(mask, ratio, "tube", seed=rng if not isinstance(rng, np.random.Generator) else None)
-
-
-def random_mask(dims: tuple[int, int], ratio: float, rng) -> MaskMap:
-    """Mask round(ratio*T'*S) tokens uniformly over the whole grid."""
-    _check_ratio(ratio)
-    t, s = dims
-    gen = _rng(rng)
-    n = _round_half_up(ratio * t * s)
-    flat = gen.choice(t * s, size=n, replace=False)
-    mask = np.zeros(t * s, dtype=bool)
-    mask[flat] = True
-    return MaskMap(mask.reshape(t, s), ratio, "random",
-                   seed=rng if not isinstance(rng, np.random.Generator) else None)
-
-
-def frame_mask(dims: tuple[int, int], ratio: float, rng) -> MaskMap:
-    """Mask round(ratio*T') whole temporal slices."""
-    _check_ratio(ratio)
-    t, s = dims
-    gen = _rng(rng)
-    n_slices = _round_half_up(ratio * t)
-    slices = gen.choice(t, size=n_slices, replace=False)
-    mask = np.zeros((t, s), dtype=bool)
-    mask[slices, :] = True
-    return MaskMap(mask, ratio, "frame",
-                   seed=rng if not isinstance(rng, np.random.Generator) else None)
-
-
-def make_mask(strategy: str, dims: tuple[int, int], ratio: float, rng) -> MaskMap:
-    if strategy == "tube":
-        return tube_mask(dims, ratio, rng)
-    if strategy == "random":
-        return random_mask(dims, ratio, rng)
-    if strategy == "frame":
-        return frame_mask(dims, ratio, rng)
-    raise ConfigError(f"unknown masking strategy {strategy!r}")
+    pt, ps = (n if drawn else 1 for n, drawn in zip(dims, _DRAWN_AXES[strategy]))
+    members = _rng(rng).choice(pt * ps, size=_round_half_up(ratio * pt * ps), replace=False)
+    population = np.zeros(pt * ps, dtype=bool)
+    population[members] = True
+    mask = np.broadcast_to(population.reshape(pt, ps), dims).copy()
+    return MaskMap(mask, ratio, strategy)
 
 
 def leakage_probe(mask: MaskMap) -> float:

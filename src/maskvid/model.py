@@ -33,6 +33,12 @@ class ModelConfig:
     num_classes: int = 4
 
     def __post_init__(self):
+        if min(self.dims) < 1:
+            raise ConfigError(f"model.dims entries must be >= 1, got {self.dims}")
+        for name in ("d_enc", "depth_enc", "heads_enc", "d_dec", "depth_dec", "heads_dec",
+                     "mlp_ratio"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         if self.d_enc % self.heads_enc != 0:
             raise ConfigError(f"d_enc {self.d_enc} not divisible by heads {self.heads_enc}")
         if self.d_dec % self.heads_dec != 0:

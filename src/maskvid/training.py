@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import os
+import types
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,6 +42,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.warmup_epochs < 0:
+            raise ConfigError(f"train.warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        if self.total_steps is not None and self.total_steps < 1:
+            raise ConfigError(f"train.total_steps must be >= 1, got {self.total_steps}")
         if self.warmup_epochs >= self.total_epochs:
             raise ConfigError(
                 f"warmup_epochs {self.warmup_epochs} must be < total_epochs {self.total_epochs}"
@@ -183,18 +189,67 @@ def snapshot_config(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict[str,
     return snap
 
 
-def model_config_from_snapshot(config: dict[str, str]) -> ModelConfig:
-    kwargs = {}
-    for key, raw in config.items():
-        if key.startswith("model."):
-            val = json.loads(raw)
-            name = key[len("model."):]
-            kwargs[name] = tuple(val) if name == "dims" else val
-    return ModelConfig(**kwargs)
+def field_types(cls) -> dict:
+    """Field name -> resolved annotation, read from the dataclass itself."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+# the prefixes snapshot_config writes, each field with its annotation
+SNAPSHOT_FIELDS = {"model": field_types(ModelConfig), "train": field_types(TrainConfig)}
+
+
+def _parse(text: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return text
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a decoded value fits a config field's annotation."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_has_type(value, h) for h in args)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, tuple) and len(value) == len(args)
+                and all(map(_has_type, value, args)))
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def decode_config(entries: dict[str, str], schema: dict[str, dict]) -> dict[str, dict]:
+    """Flat prefix.name -> text entries as {prefix: {name: value}}, typed and checked.
+
+    The decoder of snapshot_config's output, of checkpoint headers, and of CLI
+    text and resolved.cfg; schema maps each prefix to its field annotations.
+    A value is parsed as JSON, and stays raw text if that fails; a field
+    annotated tuple[...] takes a JSON list or comma-separated text. An unknown
+    key, or a value that does not fit its annotation, raises ConfigError
+    naming the key.
+    """
+    out = {prefix: {} for prefix in schema}
+    for key, raw in entries.items():
+        prefix, _, name = key.partition(".")
+        hint = schema.get(prefix, {}).get(name)
+        if hint is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        value = _parse(raw)
+        if typing.get_origin(hint) is tuple:
+            value = tuple(value) if isinstance(value, list) else tuple(map(_parse, raw.split(",")))
+        if not _has_type(value, hint):
+            raise ConfigError(f"{key}={raw!r} does not fit its type {hint}")
+        out[prefix][name] = value
+    return out
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> MAEParams:
-    cfg = model_config_from_snapshot(ckpt.config)
+    cfg = ModelConfig(**decode_config(ckpt.config, SNAPSHOT_FIELDS)["model"])
     params = {name: Param(arr.copy(), name) for name, arr in ckpt.params.items()}
     return MAEParams(params, cfg)
 

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from maskvid.gradsuite import run_gradient_suite
-from maskvid.masking import (frame_mask, leakage_probe, make_mask, random_mask,
-                             tube_mask)
+from maskvid.masking import leakage_probe, make_mask
 from maskvid.model import (ModelConfig, desk_config, init_mae_params,
                            mae_forward, vit_base_config)
 from maskvid.tensor import Param, Tensor
@@ -43,7 +42,7 @@ DIMS = (8, 196)
 
 def test_tube_mask_exact_counts_and_column_structure():
     for seed in range(1000):
-        m = tube_mask(DIMS, 0.9, np.random.default_rng(seed))
+        m = make_mask("tube", DIMS, 0.9, np.random.default_rng(seed))
         site_masked = m.mask.all(axis=0)
         assert int(site_masked.sum()) == 176
         # every column is uniform across time: all-masked or all-visible
@@ -54,7 +53,7 @@ def test_tube_mask_exact_counts_and_column_structure():
 def test_random_mask_exact_counts_and_leakage():
     vals = []
     for seed in range(1000):
-        m = random_mask(DIMS, 0.9, np.random.default_rng(seed))
+        m = make_mask("random", DIMS, 0.9, np.random.default_rng(seed))
         assert m.n_masked == 1411
         vals.append(leakage_probe(m))
     assert abs(float(np.mean(vals)) - 0.52) <= 0.02
@@ -62,7 +61,7 @@ def test_random_mask_exact_counts_and_leakage():
 
 def test_frame_mask_exact_counts_and_leakage():
     for seed in range(1000):
-        m = frame_mask(DIMS, 0.875, np.random.default_rng(seed))
+        m = make_mask("frame", DIMS, 0.875, np.random.default_rng(seed))
         slice_masked = m.mask.all(axis=1)
         slice_visible = ~m.mask.any(axis=1)
         assert int(slice_masked.sum()) == 7
@@ -80,7 +79,7 @@ def test_reference_geometry_shapes():
     assert params.pos_dec.shape == (1568, 384)
     assert params["mask_token"].value.shape == (384,)
 
-    mask = tube_mask((8, 196), 0.9, np.random.default_rng(0))
+    mask = make_mask("tube", (8, 196), 0.9, np.random.default_rng(0))
     assert mask.n_visible == 160  # encoder input length
 
     rng = np.random.default_rng(0)
@@ -132,7 +131,7 @@ def test_single_clip_memorization_and_reconstruction():
     assert final < 0.10 * initial, f"loss {final:.4g} vs initial {initial:.4g}"
 
     params = params_from_checkpoint(result.checkpoint)
-    mask = tube_mask((8, 16), 0.9, np.random.default_rng(0))
+    mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
     out = mae_forward(clip, mask, params)
     pixels = out.targets.denormalize(out.predictions.data)
     truth = cubify(clip).tokens

@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import json
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from maskvid.cli import build_configs
+from maskvid.cli import _FIELD_TYPES, build_configs
+from maskvid.errors import MaskvidError
 from maskvid.model import ModelConfig
-from maskvid.training import TrainConfig, snapshot_config
+from maskvid.training import (SNAPSHOT_FIELDS, Checkpoint, TrainConfig, load_checkpoint,
+                              params_from_checkpoint, save_checkpoint, snapshot_config)
 
 BASE = [sys.executable, "-m", "maskvid.cli"]
 
@@ -75,7 +81,9 @@ def test_config_file_parsing(tmp_path):
 _BADLY_TYPED = [("pretrain", "model.d_enc=abc"), ("pretrain", "model.dims=8,x,4"),
                 ("pretrain", "train.flip_augment=1"), ("pretrain", "data.count=abc"),
                 ("pretrain", "data.seed=1.5"), ("ablate", "ablate.seeds=abc"),
-                ("ablate", "ablate.values=0.5"), ("ablate", "ablate.pretrain_clips=x")]
+                ("ablate", "ablate.values=0.5"), ("ablate", "ablate.pretrain_clips=x"),
+                ("pretrain", "model.heads_enc=0"), ("pretrain", "model.d_enc=0"),
+                ("pretrain", "model.depth_enc=-1"), ("pretrain", "train.warmup_epochs=-1")]
 
 
 @pytest.mark.parametrize("command,override", _BADLY_TYPED, ids=[o for _, o in _BADLY_TYPED])
@@ -86,6 +94,56 @@ def test_badly_typed_config_value_exits_one_without_traceback(tmp_path, command,
     assert "event=config_error" in res.stdout
     assert override.split("=")[0] in res.stdout
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("key,raw", [("model.d_enc", "abc"), ("model.d_enc", '"x"'),
+                                     ("model.foo", "1")])
+def test_corrupt_checkpoint_header_exits_one_without_traceback(tmp_path, key, raw):
+    ckpt_path = str(_pretrain(tmp_path) / "checkpoint.ckpt")
+    ckpt = load_checkpoint(ckpt_path)
+    ckpt.config[key] = raw  # header lines are not covered by the tensor hashes
+    save_checkpoint(ckpt, ckpt_path)
+    res = run_cli(["probe", "--checkpoint", ckpt_path, "--out", str(tmp_path / "probe")],
+                  tmp_path)
+    assert res.returncode == 1
+    assert "event=config_error" in res.stdout and key in res.stdout
+    assert "Traceback" not in res.stderr
+
+
+# config text as the CLI, resolved.cfg or a checkpoint header may hold it;
+# integers stay small because MAEParams builds dims x width positional tables
+_SMALL = st.integers(-16, 16)
+_JSON = st.recursive(st.none() | st.booleans() | _SMALL | st.floats() | st.text(max_size=6),
+                     lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+_TEXT = st.one_of(_SMALL.map(str), _JSON.map(json.dumps), st.text(max_size=12),
+                  st.lists(_SMALL, max_size=4).map(lambda xs: ",".join(map(str, xs))))
+_UNKNOWN_KEYS = ["model.foo", "model", "model.", "train.dims", "video.d_enc"]
+
+
+def _config_entries(schema):
+    keys = [f"{prefix}.{name}" for prefix, names in schema.items() for name in names]
+    return st.dictionaries(st.sampled_from(keys + _UNKNOWN_KEYS), _TEXT, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_config_entries(_FIELD_TYPES))
+def test_build_configs_raises_nothing_but_maskvid_errors(entries):
+    try:
+        build_configs(entries)
+    except MaskvidError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=_config_entries(SNAPSHOT_FIELDS))
+def test_params_from_checkpoint_raises_nothing_but_maskvid_errors(entries):
+    header = {**snapshot_config(ModelConfig(), TrainConfig()), **entries}
+    ckpt = Checkpoint(params={}, optim_m={}, optim_v={}, opt_step=0, step=0, config=header,
+                      rng_state={})
+    try:
+        params_from_checkpoint(ckpt)
+    except MaskvidError:
+        pass
 
 
 @pytest.mark.parametrize("model_kw", [{}, {"dims": (8, 5, 5)}])
@@ -147,7 +205,6 @@ def test_probe_from_checkpoint(tmp_path):
 
 
 def test_finetune_that_diverges_exits_two_with_its_loss_trace(tmp_path):
-    from maskvid.training import load_checkpoint, save_checkpoint
     ckpt_path = str(_pretrain(tmp_path) / "checkpoint.ckpt")
     ckpt = load_checkpoint(ckpt_path)
     ckpt.params["enc/norm/g"][0] = np.nan
@@ -224,3 +281,20 @@ def test_ablate_writes_report(tmp_path):
     report = (outdir / "report.csv").read_text().splitlines()
     assert report[0].startswith("axis,value,seed,accuracy")
     assert len(report) == 2
+
+
+def test_ablate_runs_a_strategy_ratio_cell_at_the_acceptance_geometry(tmp_path):
+    outdir = tmp_path / "abl"
+    res = run_cli(["ablate", "--axis", "strategy",
+                   "--set", 'ablate.values=[["frame", 0.875]]',
+                   "--set", "ablate.pretrain_steps=1",
+                   "--set", "ablate.finetune_steps=1",
+                   "--set", "ablate.eval_clips=4",
+                   "--out", str(outdir)], tmp_path)
+    assert res.returncode == 0, res.stderr + res.stdout
+    with open(outdir / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["value"] for row in rows} == {"frame"}
+    # frame masking at 0.875 leaves one of 8 slices: 25 tokens on (8, 5, 5), 16 on (8, 4, 4)
+    assert {row["visible_tokens"] for row in rows} == {"25"}
+    assert "model.dims=[8, 5, 5]\n" in (outdir / "resolved.cfg").read_text()

@@ -5,7 +5,7 @@ import pytest
 
 from maskvid import tensor as tk
 from maskvid.errors import ConfigError
-from maskvid.masking import make_mask, tube_mask
+from maskvid.masking import make_mask
 from maskvid.model import (ModelConfig, add_pos_embed, classify, cube_embed,
                            decode, desk_config, encode, init_head_params,
                            init_mae_params, mae_forward, pos_embed_table,
@@ -86,7 +86,7 @@ def test_desk_forward_shapes():
     cfg = desk_config()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
-    mask = tube_mask((8, 16), 0.9, np.random.default_rng(0))
+    mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
     out = mae_forward(clip, mask, params)
     assert out.predictions.shape == (128, 1536)
     assert out.targets.values.shape == (128, 1536)
@@ -101,7 +101,7 @@ def test_full_scale_forward_shapes_without_training():
     grid = cubify(clip)
     assert grid.tokens.shape == (1568, 1536)
 
-    mask = tube_mask((8, 196), 0.9, np.random.default_rng(0))
+    mask = make_mask("tube", (8, 196), 0.9, np.random.default_rng(0))
     assert mask.n_visible == 160  # (196-176) sites x 8 slices
 
     embedded = cube_embed(Tensor(grid.tokens), params)
@@ -120,7 +120,7 @@ def test_encoder_only_sees_visible_tokens():
     cfg = desk_config()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
-    mask = tube_mask((8, 16), 0.9, np.random.default_rng(0))
+    mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
     grid = cubify(clip)
 
     # altering masked-cube pixels must not change the encoder output
@@ -144,7 +144,7 @@ def test_decode_places_visible_and_mask_tokens_correctly():
     # scatter by marking visible rows through a constant offset
     rng = np.random.default_rng(0)
     encoded = Tensor(rng.standard_normal((16, cfg.d_enc)).astype(np.float32))
-    mask = tube_mask((8, 16), 0.9, np.random.default_rng(0))
+    mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
     out = decode(encoded, mask.visible_indices, params)
     assert out.shape == (128, 1536)
     assert np.isfinite(out.data).all()
@@ -156,7 +156,7 @@ def test_mae_forward_batch_matches_single(tmp_path):
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
     grid = cubify(clip)
-    mask = tube_mask((8, 16), 0.9, np.random.default_rng(0))
+    mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
 
     single = mae_forward(clip, mask, params)
     batched = mae_forward_batch(
@@ -180,7 +180,7 @@ def test_mae_forward_rejects_geometry_mismatch():
     cfg = desk_config()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
-    mask = tube_mask((4, 16), 0.9, np.random.default_rng(0))  # wrong T'
+    mask = make_mask("tube", (4, 16), 0.9, np.random.default_rng(0))  # wrong T'
     with pytest.raises(Exception):
         mae_forward(clip, mask, params)
 

@@ -6,7 +6,7 @@ import pytest
 from maskvid import tensor as tk
 from maskvid.errors import (CheckpointError, ConfigError, ContractError,
                             NumericError)
-from maskvid.masking import make_mask, tube_mask
+from maskvid.masking import make_mask
 from maskvid.model import (ModelConfig, cube_embed, decode, encode, init_mae_params,
                            mae_forward_batch)
 from maskvid.tensor import Param, Tape, Tensor
@@ -420,6 +420,6 @@ def test_pretrain_rejects_a_ratio_with_no_visible_token_before_setup(monkeypatch
 
 def test_snapshot_config_round_trips_model_geometry():
     snap = snapshot_config(_tiny_cfg_64(), TrainConfig())
-    from maskvid.training import model_config_from_snapshot
-    back = model_config_from_snapshot(snap)
+    from maskvid.training import SNAPSHOT_FIELDS, decode_config
+    back = ModelConfig(**decode_config(snap, SNAPSHOT_FIELDS)["model"])
     assert back == _tiny_cfg_64()
