@@ -11,9 +11,9 @@ import os
 import numpy as np
 
 from maskvid.masking import make_mask, mask_to_text
-from maskvid.model import desk_config, mae_forward
+from maskvid.model import ModelConfig, reconstruct
 from maskvid.training import TrainConfig, params_from_checkpoint, pretrain
-from maskvid.video import CubeGrid, cubify, decubify, synth_moving_sprites
+from maskvid.video import cubify, synth_moving_sprites
 from maskvid.viz import frame_to_image, gray_masked_cubes, write_ppm
 
 OUT = os.path.join(os.path.dirname(__file__), "out_reconstruction")
@@ -36,15 +36,11 @@ def main():
     cfg = TrainConfig(base_lr=2.56, batch_size=1, total_steps=300,
                       mask_strategy="tube", mask_ratio=0.9, seed=0,
                       weight_decay=0.0)
-    result = pretrain(cfg, dataset.subset([0]), model_cfg=desk_config())
+    result = pretrain(cfg, dataset.subset([0]), model_cfg=ModelConfig())
     first, last = result.trace[0][2], result.trace[-1][2]
     print(f"pretraining loss {first:.4f} -> {last:.4f} over {len(result.trace)} steps")
 
-    params = params_from_checkpoint(result.checkpoint)
-    output = mae_forward(clip, mask, params)
-    pixels = output.targets.denormalize(output.predictions.data)
-    pixels[mask.visible_indices] = grid.tokens[mask.visible_indices]
-    recon = decubify(CubeGrid(np.clip(pixels, 0, 1).astype(np.float32), grid.dims))
+    recon = reconstruct(clip, mask, params_from_checkpoint(result.checkpoint))
     masked_view = gray_masked_cubes(clip, mask)
 
     for f in (0, 7, 15):

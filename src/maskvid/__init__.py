@@ -5,17 +5,16 @@ from .errors import (CheckpointError, ConfigError, ContractError,
                      NumericError, SamplingError)
 from .masking import MaskMap, leakage_probe, make_mask
 from .model import (MAEOutput, MAEParams, ModelConfig, classify, cube_embed,
-                    decode, desk_config, encode, init_head_params,
-                    init_mae_params, mae_forward, pos_embed_table,
-                    vit_base_config)
+                    decode, encode, init_head_params, init_mae_params,
+                    mae_forward, pos_embed_table, reconstruct, vit_base_config)
 from .tensor import Param, Tape, Tensor, attention_block, finite_diff_check
 from .training import (Checkpoint, OptimState, TrainConfig, adamw_step,
                        cosine_warmup_lr, finetune, linear_probe,
                        load_checkpoint, masked_mse_loss,
                        params_from_checkpoint, pretrain, save_checkpoint,
                        scaled_lr)
-from .video import (CubeGrid, SpriteDataset, TargetCubes, VideoClip, cubify,
-                    decubify, normalize_cube_targets, sample_clip,
+from .video import (CubeGrid, SpriteDataset, TargetCubes, VideoClip, clip_size,
+                    cubify, decubify, normalize_cube_targets,
                     synth_moving_sprites)
 
 __version__ = "0.1.0"

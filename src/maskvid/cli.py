@@ -19,13 +19,12 @@ from . import gradsuite
 from .errors import MaskvidError, ConfigError, NumericError
 from .experiments import AXES, AblationSpec, run_ablation, summarize, write_report
 from .masking import STRATEGIES, make_mask, mask_to_text
-from .model import ModelConfig, mae_forward
+from .model import ModelConfig, reconstruct
 from .training import (SNAPSHOT_FIELDS, TrainConfig, decode_config, field_types, finetune,
                        linear_probe, load_checkpoint, params_from_checkpoint, pretrain,
                        save_checkpoint, snapshot_config, write_loss_trace, _make_checkpoint,
                        OptimState)
-from .video import (CubeGrid, VideoClip, cubify, decubify, read_raw_clip,
-                    synth_moving_sprites)
+from .video import clip_size, read_raw_clip, synth_moving_sprites
 from .viz import frame_to_image, gray_masked_cubes, mask_heatmap, write_ppm
 
 
@@ -64,6 +63,8 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 def build_configs(cfg: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dict]:
     typed = decode_config(cfg, _FIELD_TYPES)
+    if typed["data"].get("seed", 0) < 0:
+        raise ConfigError(f"data.seed must be >= 0, got {typed['data']['seed']}")
     return (ModelConfig(**typed["model"]), TrainConfig(**typed["train"]),
             {**_DATA_DEFAULTS, **typed["data"]})
 
@@ -93,13 +94,21 @@ def _load_cfg(args) -> dict[str, str]:
 
 
 def _sprites_for(model_cfg: ModelConfig, count: int, seed: int):
-    t, h, w = model_cfg.dims
-    return synth_moving_sprites(seed, count, size=(t * 2, h * 16, w * 16))
+    return synth_moving_sprites(seed, count, size=clip_size(model_cfg.dims))
+
+
+def _training_configs(args) -> tuple[ModelConfig, TrainConfig, dict]:
+    """build_configs of the command's config, with train.mode the command's name."""
+    cfg = _load_cfg(args)
+    model_cfg, train_cfg, data = build_configs(cfg)
+    if "train.mode" in cfg and train_cfg.mode != args.command:
+        raise ConfigError(f"train.mode={cfg['train.mode']} conflicts with "
+                          f"`maskvid {args.command}`, which sets it")
+    return model_cfg, dataclasses.replace(train_cfg, mode=args.command), data
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _load_cfg(args)
-    model_cfg, train_cfg, data = build_configs(cfg)
+    model_cfg, train_cfg, data = _training_configs(args)
     out = _resolve_out(args)
     if data["raw_path"]:
         dataset = [read_raw_clip(data["raw_path"])]
@@ -120,8 +129,7 @@ def cmd_pretrain(args) -> int:
 
 
 def _cmd_supervised(args, runner, tag: str) -> int:
-    cfg = _load_cfg(args)
-    model_cfg, train_cfg, data = build_configs(cfg)
+    _, train_cfg, data = _training_configs(args)
     out = _resolve_out(args)
     ckpt = load_checkpoint(args.checkpoint)
     params = params_from_checkpoint(ckpt)
@@ -161,16 +169,9 @@ def cmd_reconstruct(args) -> int:
         clip = read_raw_clip(data["raw_path"])
     else:
         clip = _sprites_for(params.config, 4, data["seed"]).clips[0]
-    if clip.grid_dims != params.config.dims:
-        raise ConfigError(f"clip grid {clip.grid_dims} != checkpoint grid {params.config.dims}")
     dims = (params.config.dims[0], params.config.spatial_sites)
     mask = make_mask(args.strategy, dims, args.ratio, np.random.default_rng(args.seed or 0))
-    output = mae_forward(clip, mask, params)
-    pixels = output.targets.denormalize(output.predictions.data)
-    keep = mask.visible_indices
-    pixels[keep] = cubify(clip).tokens[keep]
-    recon = decubify(CubeGrid(np.clip(pixels, 0.0, 1.0).astype(np.float32),
-                              params.config.dims))
+    recon = reconstruct(clip, mask, params)
     masked_clip = gray_masked_cubes(clip, mask)
     t = clip.pixels.shape[1]
     for f in range(t):
@@ -205,7 +206,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
-    typed = decode_config(cfg, _FIELD_TYPES)
+    # the cells run on the spec's own train configs, data and seeds
+    typed = decode_config(cfg, {k: _FIELD_TYPES[k] for k in ("model", "ablate")})
     given = typed["ablate"]
     # model.* keys and step budgets override the spec's own configs
     overrides = {"model_cfg": typed["model"]}
@@ -235,12 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Masked video autoencoding at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False):
+    def common(p, checkpoint=False, seed=True):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key")
         p.add_argument("--out", help="output directory (ARTIFACT_OUT wins)")
-        p.add_argument("--seed", type=int, help="training seed override")
+        if seed:
+            p.add_argument("--seed", type=int, help="training seed override")
         if checkpoint:
             p.add_argument("--checkpoint", required=True)
 
@@ -261,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("gradcheck", help="finite-difference gradient suite"))
 
-    p = sub.add_parser("ablate", help="run an ablation sweep")
-    common(p)
+    p = sub.add_parser("ablate", help="run an ablation sweep (seeds: ablate.seeds)")
+    common(p, seed=False)
     p.add_argument("--axis", choices=list(AXES))
     return parser
 

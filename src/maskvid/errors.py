@@ -22,7 +22,7 @@ class NumericError(MaskvidError):
 
 
 class SamplingError(MaskvidError):
-    """The source video is too short for the requested sampling."""
+    """A raw clip file or its sidecar manifest is missing or malformed."""
 
 
 class GenerationError(MaskvidError):

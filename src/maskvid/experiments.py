@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConfigError
 from .masking import make_mask, leakage_probe
 from .model import ModelConfig
-from .training import TrainConfig, finetune, pretrain, params_from_checkpoint
-from .video import synth_moving_sprites
+from .training import TrainConfig, _has_type, finetune, pretrain, params_from_checkpoint
+from .video import clip_size, synth_moving_sprites
 
 REPORT_FIELDS = ("axis", "value", "seed", "accuracy", "final_pretrain_loss",
                  "leakage", "visible_tokens", "wall_seconds")
@@ -72,13 +72,8 @@ class ReportRow:
         return {f: getattr(self, f) for f in REPORT_FIELDS}
 
 
-def _clip_size(model_cfg: ModelConfig) -> tuple[int, int, int]:
-    t, h, w = model_cfg.dims
-    return t * 2, h * 16, w * 16
-
-
 def _sprites(spec: AblationSpec, seed: int, count: int):
-    return synth_moving_sprites(seed, count, size=_clip_size(spec.model_cfg),
+    return synth_moving_sprites(seed, count, size=clip_size(spec.model_cfg.dims),
                                 noise_level=spec.noise_level,
                                 sprite_extent=spec.sprite_extent)
 
@@ -159,12 +154,13 @@ def _dataset_fraction_cell(spec: AblationSpec, fraction):
 class Axis(NamedTuple):
     cell: Callable
     defaults: list  # the grid `maskvid ablate` runs when no values are given
+    value_type: type | None = None  # what each value must be (float: any number), if checked
 
 
 AXES = {"strategy": Axis(_strategy_cell, ["tube", "random", "frame"]),
-        "ratio": Axis(_ratio_cell, [0.5, 0.75, 0.9]),
-        "decoder_depth": Axis(_decoder_depth_cell, [1, 2, 4]),
-        "dataset_fraction": Axis(_dataset_fraction_cell, [0.25, 0.5, 1.0])}
+        "ratio": Axis(_ratio_cell, [0.5, 0.75, 0.9], float),
+        "decoder_depth": Axis(_decoder_depth_cell, [1, 2, 4], int),
+        "dataset_fraction": Axis(_dataset_fraction_cell, [0.25, 0.5, 1.0], float)}
 
 
 def run_ablation(spec: AblationSpec) -> list[ReportRow]:
@@ -172,6 +168,10 @@ def run_ablation(spec: AblationSpec) -> list[ReportRow]:
     axis = AXES.get(spec.axis)
     if axis is None:
         raise ConfigError(f"unknown ablation axis {spec.axis!r}")
+    for value in spec.values:
+        if axis.value_type is not None and not _has_type(value, axis.value_type):
+            raise ConfigError(f"ablate.values on the {spec.axis} axis must be "
+                              f"{axis.value_type.__name__}s, got {value!r}")
     cells = [axis.cell(spec, value) for value in spec.values]
     train_ds = _sprites(spec, spec.data_seed + 1, spec.label_clips)
     eval_ds = _sprites(spec, spec.data_seed + 2, spec.eval_clips)

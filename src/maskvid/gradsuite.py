@@ -14,7 +14,7 @@ from .masking import make_mask
 from .model import ModelConfig, init_mae_params, init_head_params, mae_forward, classify
 from .tensor import Param, Tensor, finite_diff_check
 from .training import masked_mse_loss
-from .video import VideoClip
+from .video import VideoClip, clip_size
 
 
 def _param(rng, shape, name) -> Param:
@@ -25,30 +25,14 @@ def _sq_mean(y: Tensor) -> Tensor:
     return tk.mse(y, np.zeros(y.shape))
 
 
-def _generic_block(width: int, name: str, rng, mlp_ratio: int = 4) -> dict:
-    """Block params at a generic point: fan-in-scaled weights, noisy affines.
+def _to_generic_point(params, rng):
+    """Move params to a generic point: fan-in-scaled weights, noisy affines.
 
     The std-0.02 training init leaves many true gradients near 1e-8, below
     what central differences at h=1e-5 can resolve; checking at a generic
     point keeps every signal well above the noise floor.
     """
-    params = tk.init_block_params(width, name, rng, mlp_ratio=mlp_ratio,
-                                  dtype=np.float64)
-    for p in params.values():
-        d = p.value.data
-        if d.ndim == 2:
-            d[:] = rng.standard_normal(d.shape) / np.sqrt(d.shape[0])
-        elif p.name.endswith(("/g",)):
-            d[:] = 1.0 + 0.1 * rng.standard_normal(d.shape)
-        else:
-            d[:] = 0.1 * rng.standard_normal(d.shape)
-    return params
-
-
-def _generic_mae_params(cfg: ModelConfig, rng):
-    """Float64 model params at the same kind of generic point."""
-    params = init_mae_params(cfg, seed=0).astype(np.float64)
-    for p in params.values():
+    for p in params:
         d = p.value.data
         if d.ndim == 2:
             d[:] = rng.standard_normal(d.shape) / np.sqrt(d.shape[0])
@@ -58,6 +42,12 @@ def _generic_mae_params(cfg: ModelConfig, rng):
             d[:] = rng.standard_normal(d.shape)
         else:
             d[:] = 0.1 * rng.standard_normal(d.shape)
+
+
+def _generic_mae_params(cfg: ModelConfig, rng):
+    """Float64 model params at a generic point."""
+    params = init_mae_params(cfg, seed=0).astype(np.float64)
+    _to_generic_point(params.values(), rng)
     return params
 
 
@@ -123,7 +113,8 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     out["attention"] = finite_diff_check(
         lambda: _sq_mean(tk.attention(q.value, k.value, v.value, heads=2)), [q, k, v])
 
-    blk = _generic_block(8, "blk", rng)
+    blk = tk.init_block_params(8, "blk", rng, dtype=np.float64)
+    _to_generic_point(blk.values(), rng)
     tokens = _param(rng, (3, 8), "tokens")
     out["attention_block"] = finite_diff_check(
         lambda: _sq_mean(tk.attention_block(tokens.value, blk, "blk", heads=2)),
@@ -137,9 +128,8 @@ def mae_forward_check(samples_per_param: int = 4, seed: int = 0,
     cfg = config or ModelConfig(depth_enc=2, depth_dec=2)
     rng = np.random.default_rng(seed)
     params = _generic_mae_params(cfg, rng)
-    t, h, w = cfg.dims
-    clip = VideoClip(rng.random((3, 2 * t, 16 * h, 16 * w)))
-    mask = make_mask("tube", (t, h * w), 0.9, rng)
+    clip = VideoClip(rng.random((3, *clip_size(cfg.dims))))
+    mask = make_mask("tube", (cfg.dims[0], cfg.spatial_sites), 0.9, rng)
 
     def f():
         out = mae_forward(clip, mask, params)
@@ -170,17 +160,11 @@ def classify_check(samples_per_param: int = 4, seed: int = 0) -> float:
 
 def run_gradient_suite(verbose: bool = False, seed: int = 0) -> float:
     """Max relative error across primitives, the MAE forward, and classify."""
+    checks = {**primitive_checks(seed), "mae_forward": mae_forward_check(seed=seed),
+              "classify": classify_check(seed=seed)}
     worst = 0.0
-    for name, err in primitive_checks(seed).items():
+    for name, err in checks.items():
         if verbose:
             print(f"gradcheck {name}: {err:.3e}")
         worst = max(worst, err)
-    err = mae_forward_check(seed=seed)
-    if verbose:
-        print(f"gradcheck mae_forward: {err:.3e}")
-    worst = max(worst, err)
-    err = classify_check(seed=seed)
-    if verbose:
-        print(f"gradcheck classify: {err:.3e}")
-    worst = max(worst, err)
     return worst

@@ -92,21 +92,16 @@ def leakage_probe(mask: MaskMap) -> float:
     return float(leaky.sum() / masked.sum())
 
 
+def _slice_grids(mask: MaskMap) -> np.ndarray:
+    """The mask as (T', rows, cols): each slice square when S is a square, else one row."""
+    t, s = mask.dims
+    side = math.isqrt(s)
+    rows, cols = (side, side) if side * side == s else (1, s)
+    return mask.mask.reshape(t, rows, cols)
+
+
 def mask_to_text(mask: MaskMap) -> str:
     """One '#'/'.' grid per temporal slice, slices separated by blank lines."""
-    t, s = mask.dims
-    side = int(math.isqrt(s))
-    if side * side == s:
-        rows_per_slice = side
-    else:
-        rows_per_slice = 1
-    blocks = []
-    for ti in range(t):
-        row = mask.mask[ti]
-        chars = np.where(row, "#", ".")
-        if rows_per_slice > 1:
-            lines = ["".join(chars[r * side:(r + 1) * side]) for r in range(side)]
-        else:
-            lines = ["".join(chars)]
-        blocks.append("\n".join(lines))
+    blocks = ["\n".join("".join(row) for row in np.where(grid, "#", "."))
+              for grid in _slice_grids(mask)]
     return "\n\n".join(blocks) + "\n"

@@ -9,7 +9,7 @@ scattering (decoder).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from . import tensor as tk
 from .errors import ConfigError, ContractError, DimensionError
 from .masking import MaskMap
 from .tensor import Param, Tensor
-from .video import CUBE_WIDTH, CubeGrid, TargetCubes, VideoClip, cubify, normalize_cube_targets
+from .video import (CUBE_WIDTH, CubeGrid, TargetCubes, VideoClip, cubify, decubify,
+                    normalize_cube_targets)
 
 
 @dataclass
@@ -54,11 +55,6 @@ class ModelConfig:
         return self.dims[1] * self.dims[2]
 
 
-def desk_config(**overrides) -> ModelConfig:
-    """Small config that trains in seconds on one CPU core."""
-    return ModelConfig(**overrides)
-
-
 def vit_base_config() -> ModelConfig:
     """The 16-frame, 224x224 reference geometry: 1568 tokens at width 768."""
     return ModelConfig(dims=(8, 14, 14), d_enc=768, depth_enc=12, heads_enc=12,
@@ -92,21 +88,11 @@ def pos_embed_table(dims: tuple[int, int, int], width: int) -> np.ndarray:
     et = _sincos_1d(np.arange(t), wt)
     eh = _sincos_1d(np.arange(h), wh)
     ew = _sincos_1d(np.arange(w), ww)
-    table = np.zeros((t * h * w, width), dtype=np.float64)
-    row = 0
-    for ti in range(t):
-        for hi in range(h):
-            for wi in range(w):
-                table[row, :wt] = et[ti]
-                table[row, wt:wt + wh] = eh[hi]
-                table[row, wt + wh:wt + wh + ww] = ew[wi]
-                row += 1
-    return table
-
-
-def add_pos_embed(tokens: Tensor, table: np.ndarray) -> Tensor:
-    """Add the fixed positional table (constant, no gradient)."""
-    return tk.add(tokens, Tensor(table.astype(tokens.dtype)))
+    table = np.zeros((t, h, w, width), dtype=np.float64)
+    table[..., :wt] = et[:, None, None]
+    table[..., wt:wt + wh] = eh[None, :, None]
+    table[..., wt + wh:wt + wh + ww] = ew[None, None, :]
+    return table.reshape(t * h * w, width)
 
 
 # -- parameters --------------------------------------------------------------
@@ -129,9 +115,6 @@ class MAEParams:
     def values(self):
         return self.params.values()
 
-    def names(self):
-        return list(self.params.keys())
-
     def zero_grad(self):
         for p in self.params.values():
             p.zero_grad()
@@ -147,46 +130,43 @@ class MAEParams:
         return MAEParams(cast, self.config, dtype=dtype)
 
 
+def _stack_layout(prefix: str, width: int, depth: int, mlp_ratio: int) -> dict:
+    """depth attention blocks, then a final layer norm, keyed under prefix."""
+    layout = {f"{prefix}/block{i}/{k}": v for i in range(depth)
+              for k, v in tk._block_layout(width, mlp_ratio).items()}
+    layout.update({f"{prefix}/norm/g": ((width,), 1.0), f"{prefix}/norm/b": ((width,), 0.0)})
+    return layout
+
+
+def _param_layout(config: ModelConfig) -> dict:
+    """Shape and fill of every MAE parameter, in init_mae_params' draw order."""
+    d, dd = config.d_enc, config.d_dec
+    return {"embed/w": ((CUBE_WIDTH, d), None), "embed/b": ((d,), 0.0),
+            **_stack_layout("enc", d, config.depth_enc, config.mlp_ratio),
+            "enc2dec/w": ((d, dd), None), "enc2dec/b": ((dd,), 0.0),
+            "mask_token": ((dd,), None),
+            **_stack_layout("dec", dd, config.depth_dec, config.mlp_ratio),
+            "out/w": ((dd, CUBE_WIDTH), None), "out/b": ((CUBE_WIDTH,), 0.0)}
+
+
+def _head_layout(config: ModelConfig) -> dict:
+    """Shape and fill of the classification head's parameters."""
+    d, k = config.d_enc, config.num_classes
+    return {"head/norm/g": ((d,), 1.0), "head/norm/b": ((d,), 0.0),
+            "head/w": ((d, k), None), "head/b": ((k,), 0.0)}
+
+
 def init_mae_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> MAEParams:
     """Truncated normal (std 0.02) weights, zero biases, unit layer-norm gains."""
-    rng = np.random.default_rng(seed)
-    p: dict[str, Param] = {}
-
-    def add_param(name, value):
-        p[name] = Param(np.asarray(value, dtype=dtype), name, dtype=dtype)
-
-    add_param("embed/w", tk.trunc_normal(rng, (CUBE_WIDTH, config.d_enc), dtype=dtype))
-    add_param("embed/b", np.zeros(config.d_enc))
-    for i in range(config.depth_enc):
-        p.update(tk.init_block_params(config.d_enc, f"enc/block{i}", rng,
-                                      mlp_ratio=config.mlp_ratio, dtype=dtype))
-    add_param("enc/norm/g", np.ones(config.d_enc))
-    add_param("enc/norm/b", np.zeros(config.d_enc))
-    add_param("enc2dec/w", tk.trunc_normal(rng, (config.d_enc, config.d_dec), dtype=dtype))
-    add_param("enc2dec/b", np.zeros(config.d_dec))
-    add_param("mask_token", tk.trunc_normal(rng, (config.d_dec,), dtype=dtype))
-    for i in range(config.depth_dec):
-        p.update(tk.init_block_params(config.d_dec, f"dec/block{i}", rng,
-                                      mlp_ratio=config.mlp_ratio, dtype=dtype))
-    add_param("dec/norm/g", np.ones(config.d_dec))
-    add_param("dec/norm/b", np.zeros(config.d_dec))
-    add_param("out/w", tk.trunc_normal(rng, (config.d_dec, CUBE_WIDTH), dtype=dtype))
-    add_param("out/b", np.zeros(CUBE_WIDTH))
-    return MAEParams(p, config, dtype=dtype)
+    params = tk._init_from_layout(_param_layout(config), np.random.default_rng(seed), dtype)
+    return MAEParams(params, config, dtype=dtype)
 
 
 def init_head_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, Param]:
     """Mean-pool readout: layer-norm + linear classifier."""
     if config.num_classes < 2:
         raise ConfigError(f"classification needs >= 2 classes, got {config.num_classes}")
-    rng = np.random.default_rng(seed)
-    spec = {
-        "head/norm/g": np.ones(config.d_enc, dtype=dtype),
-        "head/norm/b": np.zeros(config.d_enc, dtype=dtype),
-        "head/w": tk.trunc_normal(rng, (config.d_enc, config.num_classes), dtype=dtype),
-        "head/b": np.zeros(config.num_classes, dtype=dtype),
-    }
-    return {n: Param(v, n, dtype=dtype) for n, v in spec.items()}
+    return tk._init_from_layout(_head_layout(config), np.random.default_rng(seed), dtype)
 
 
 # -- forward pieces -----------------------------------------------------------
@@ -224,7 +204,7 @@ def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
     cfg = params.config
     x = tk.linear(encoded, params["enc2dec/w"].value, params["enc2dec/b"].value)
     x = tk.scatter_rows(x, visible_indices, params["mask_token"].value, cfg.n_tokens)
-    x = add_pos_embed(x, params.pos_dec)
+    x = tk.add(x, Tensor(params.pos_dec))
     for i in range(cfg.depth_dec):
         x = tk.attention_block(x, params.params, f"dec/block{i}", cfg.heads_dec)
     x = tk.layer_norm(x, params["dec/norm/g"].value, params["dec/norm/b"].value)
@@ -252,6 +232,19 @@ def mae_forward(clip: VideoClip, mask: MaskMap, params: MAEParams) -> MAEOutput:
     pred = mae_forward_batch(tokens, mask.visible_indices[None], params)
     pred = tk.reshape(pred, (cfg.n_tokens, CUBE_WIDTH))
     return MAEOutput(pred, mask.masked_indices, normalize_cube_targets(grid))
+
+
+def reconstruct(clip: VideoClip, mask: MaskMap, params: MAEParams) -> VideoClip:
+    """The clip with predicted pixels in its masked cubes, clipped to [0, 1].
+
+    Visible cubes keep the input's pixels; predictions are mapped back to
+    pixels with each cube's own target statistics.
+    """
+    output = mae_forward(clip, mask, params)
+    pixels = output.targets.denormalize(output.predictions.data)
+    keep = mask.visible_indices
+    pixels[keep] = cubify(clip).tokens[keep]
+    return decubify(CubeGrid(np.clip(pixels, 0.0, 1.0).astype(np.float32), params.config.dims))
 
 
 def mae_forward_batch(grids: np.ndarray, visible_indices: np.ndarray,

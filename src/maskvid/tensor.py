@@ -425,26 +425,36 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 # -- transformer block -------------------------------------------------------
 
+def _block_layout(width: int, mlp_ratio: int) -> dict:
+    """Shape and fill of each block parameter, keyed as attention_block reads them.
+
+    The fill is the constant a parameter starts at, or None for a
+    trunc_normal draw; draws happen in this order.
+    """
+    hidden = mlp_ratio * width
+    layout = {"ln1/g": ((width,), 1.0), "ln1/b": ((width,), 0.0)}
+    for k in "qkvo":
+        layout[f"w{k}"] = ((width, width), None)
+        layout[f"b{k}"] = ((width,), 0.0)
+    layout.update({"ln2/g": ((width,), 1.0), "ln2/b": ((width,), 0.0),
+                   "w1": ((width, hidden), None), "b1": ((hidden,), 0.0),
+                   "w2": ((hidden, width), None), "b2": ((width,), 0.0)})
+    return layout
+
+
+def _init_from_layout(layout: dict, rng: np.random.Generator, dtype) -> dict[str, Param]:
+    """One Param per layout entry, in order: a std-0.02 trunc_normal draw where
+    the fill is None, else the constant fill."""
+    return {name: Param(trunc_normal(rng, shape, dtype=dtype) if fill is None
+                        else np.full(shape, fill, dtype), name, dtype=dtype)
+            for name, (shape, fill) in layout.items()}
+
+
 def init_block_params(width: int, name: str, rng: np.random.Generator,
                       mlp_ratio: int = 4, dtype=np.float32) -> dict:
     """Parameters of one pre-norm attention block, keyed by f'{name}/...'."""
-    def w(shape):
-        return trunc_normal(rng, shape, std=0.02, dtype=dtype)
-
-    hidden = mlp_ratio * width
-    spec = {
-        "ln1/g": np.ones(width, dtype=dtype),
-        "ln1/b": np.zeros(width, dtype=dtype),
-        "wq": w((width, width)), "bq": np.zeros(width, dtype=dtype),
-        "wk": w((width, width)), "bk": np.zeros(width, dtype=dtype),
-        "wv": w((width, width)), "bv": np.zeros(width, dtype=dtype),
-        "wo": w((width, width)), "bo": np.zeros(width, dtype=dtype),
-        "ln2/g": np.ones(width, dtype=dtype),
-        "ln2/b": np.zeros(width, dtype=dtype),
-        "w1": w((width, hidden)), "b1": np.zeros(hidden, dtype=dtype),
-        "w2": w((hidden, width)), "b2": np.zeros(width, dtype=dtype),
-    }
-    return {f"{name}/{k}": Param(v, f"{name}/{k}", dtype=dtype) for k, v in spec.items()}
+    layout = {f"{name}/{k}": v for k, v in _block_layout(width, mlp_ratio).items()}
+    return _init_from_layout(layout, rng, dtype)
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:

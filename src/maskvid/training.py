@@ -15,8 +15,8 @@ import numpy as np
 from . import tensor as tk
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .masking import MaskMap, make_mask
-from .model import (MAEParams, ModelConfig, classify, init_head_params,
-                    init_mae_params, mae_forward_batch)
+from .model import (MAEParams, ModelConfig, _head_layout, _param_layout, classify,
+                    init_head_params, init_mae_params, mae_forward_batch)
 from .tensor import Param, Tape, Tensor
 from .video import TargetCubes, VideoClip, cubify, normalize_cube_targets
 
@@ -40,6 +40,13 @@ class TrainConfig:
     total_steps: int | None = None  # overrides total_epochs when set
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"train.beta1 and train.beta2 must be in [0, 1), "
+                              f"got {self.beta1} and {self.beta2}")
+        if not 0.0 < self.layer_decay <= 1.0:
+            raise ConfigError(f"train.layer_decay must be in (0, 1], got {self.layer_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.warmup_epochs < 0:
@@ -156,11 +163,9 @@ def layer_lr_scales(config: ModelConfig, decay: float) -> dict[str, float]:
     scales: dict[str, float] = {}
     n = config.depth_enc
     scales["embed/w"] = scales["embed/b"] = decay ** (n + 1)
-    rng = np.random.default_rng(0)
     for i in range(n):
-        # a width-1 block: only its parameter names are read
-        for name in tk.init_block_params(1, f"enc/block{i}", rng, mlp_ratio=1):
-            scales[name] = decay ** (n - i)
+        for name in tk._block_layout(1, 1):
+            scales[f"enc/block{i}/{name}"] = decay ** (n - i)
     return scales
 
 
@@ -249,7 +254,22 @@ def decode_config(entries: dict[str, str], schema: dict[str, dict]) -> dict[str,
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> MAEParams:
+    """The checkpoint's parameters under the model config its header records.
+
+    Every tensor must have the name and shape that config implies, with the
+    classification head optional; the first that does not raises
+    CheckpointError.
+    """
     cfg = ModelConfig(**decode_config(ckpt.config, SNAPSHOT_FIELDS)["model"])
+    layout = _param_layout(cfg)
+    if any(name.startswith("head/") for name in ckpt.params):
+        layout.update(_head_layout(cfg))
+    for name in sorted(layout.keys() | ckpt.params.keys()):
+        got = ckpt.params[name].shape if name in ckpt.params else "absent"
+        want = layout[name][0] if name in layout else "absent"
+        if got != want:
+            raise CheckpointError(f"checkpoint tensor {name!r} has shape {got}, but the "
+                                  f"header's model config implies {want}")
     params = {name: Param(arr.copy(), name) for name, arr in ckpt.params.items()}
     return MAEParams(params, cfg)
 
@@ -404,8 +424,7 @@ def _clip_grids(dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _flip_clip(clip: VideoClip) -> VideoClip:
-    return VideoClip(np.ascontiguousarray(clip.pixels[:, :, :, ::-1]),
-                     stride=clip.stride, start=clip.start)
+    return VideoClip(np.ascontiguousarray(clip.pixels[:, :, :, ::-1]))
 
 
 def _make_checkpoint(params: MAEParams, extra_params: dict[str, Param] | None,
@@ -421,8 +440,7 @@ def _make_checkpoint(params: MAEParams, extra_params: dict[str, Param] | None,
                       rng_state=rng.bit_generator.state)
 
 
-def pretrain(config: TrainConfig, dataset, params: MAEParams | None = None,
-             model_cfg: ModelConfig | None = None,
+def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
              resume: Checkpoint | None = None,
              stop_step: int | None = None) -> PretrainResult:
     """Masked-reconstruction pre-training; deterministic under (config, dataset).
@@ -430,15 +448,21 @@ def pretrain(config: TrainConfig, dataset, params: MAEParams | None = None,
     stop_step interrupts the run after that absolute step while keeping the
     full-length schedule, so a later resume reproduces the uninterrupted run.
     A resume runs under the checkpoint's own config: a model_cfg or config
-    that differs from it in any key raises ConfigError naming each such key.
+    that differs from it in any key raises ConfigError naming each such key,
+    and a checkpoint without AdamW moments for every parameter (a fine-tune
+    or probe checkpoint) raises CheckpointError.
     """
     if len(dataset) == 0:
         raise ContractError("pretrain needs a nonempty dataset")
     if resume is not None:
         params = params_from_checkpoint(resume)
-    if model_cfg is None:
-        model_cfg = params.config if params is not None else ModelConfig()
-    if params is None:
+        if not resume.optim_m.keys() == resume.optim_v.keys() == params.params.keys():
+            raise CheckpointError("resume needs AdamW moments for every parameter; this "
+                                  f"checkpoint has them for {len(resume.optim_m)} of "
+                                  f"{len(params.params)}")
+        model_cfg = model_cfg or params.config
+    else:
+        model_cfg = model_cfg or ModelConfig()
         params = init_mae_params(model_cfg, seed=config.seed)
     config_snap = snapshot_config(model_cfg, config)
     if resume is not None:
@@ -500,8 +524,8 @@ class EvalResult:
     aborted: bool = False  # a non-finite loss or gradient stopped training
 
 
-def _eval_accuracy(params: MAEParams, head: dict[str, Param], dataset,
-                   batch_size: int = 16) -> float:
+def _eval_accuracy(params: MAEParams, head: dict[str, Param], dataset) -> float:
+    batch_size = 16
     correct = 0
     for i in range(0, len(dataset), batch_size):
         clips = [dataset[j][0] for j in range(i, min(i + batch_size, len(dataset)))]
@@ -533,9 +557,7 @@ def _supervised_loop(params: MAEParams, train_ds, eval_ds, config: TrainConfig,
 def finetune(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds,
              config: TrainConfig) -> EvalResult:
     """Cross-entropy training of encoder + head; the decoder is discarded."""
-    params = (params_from_checkpoint(checkpoint)
-              if isinstance(checkpoint, Checkpoint) else checkpoint)
-    _check_geometry(params, train_ds)
+    params = _supervised_params(checkpoint, train_ds, eval_ds)
     scales = layer_lr_scales(params.config, config.layer_decay)
     return _supervised_loop(params, train_ds, eval_ds, config,
                             trainable=params.encoder_params(), lr_scales=scales)
@@ -549,9 +571,7 @@ def linear_probe(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds,
     so the tape records none of the encoder's ops: only the head is
     differentiated, and the encoder's gradients are left as they were.
     """
-    params = (params_from_checkpoint(checkpoint)
-              if isinstance(checkpoint, Checkpoint) else checkpoint)
-    _check_geometry(params, train_ds)
+    params = _supervised_params(checkpoint, train_ds, eval_ds)
     encoder = params.encoder_params()
     for p in encoder:
         p.value.requires_grad = False
@@ -562,12 +582,22 @@ def linear_probe(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds,
             p.value.requires_grad = True
 
 
-def _check_geometry(params: MAEParams, dataset):
-    clip = dataset[0][0]
+def _supervised_params(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds) -> MAEParams:
+    """The parameters to train, checked against the training clips' grid."""
+    if len(train_ds) == 0 or len(eval_ds) == 0:
+        raise ContractError("fine-tuning and probing need nonempty training and eval sets")
+    params = (params_from_checkpoint(checkpoint)
+              if isinstance(checkpoint, Checkpoint) else checkpoint)
+    clip = train_ds[0][0]
     if clip.grid_dims != params.config.dims:
         raise ConfigError(
             f"dataset grid {clip.grid_dims} != checkpoint grid {params.config.dims}"
         )
+    top = max(train_ds[i][1] for i in range(len(train_ds)))
+    if top >= params.config.num_classes:
+        raise ConfigError(f"training label {top} needs model.num_classes > {top}, "
+                          f"got {params.config.num_classes}")
+    return params
 
 
 def write_loss_trace(path: str, trace):

@@ -1,4 +1,4 @@
-"""Clip sampling, cube tokenization, target normalization, synthetic data.
+"""Cube tokenization, target normalization, synthetic data, raw clip files.
 
 Cubes are fixed at 2x16x16 (time x height x width), so every token is a
 1536-wide vector regardless of clip geometry. Flatten order inside a cube is
@@ -24,11 +24,9 @@ _VELOCITY = {"up": (-2, 0), "down": (2, 0), "left": (0, -2), "right": (0, 2)}
 
 @dataclass
 class VideoClip:
-    """Pixel block (3, T, H, W) in [0, 1] plus sampling metadata."""
+    """Pixel block (3, T, H, W) in [0, 1]."""
 
     pixels: np.ndarray
-    stride: int = 1
-    start: int = 0
 
     def __post_init__(self):
         c, t, h, w = self.pixels.shape
@@ -43,6 +41,12 @@ class VideoClip:
     def grid_dims(self) -> tuple[int, int, int]:
         _, t, h, w = self.pixels.shape
         return t // CUBE_T, h // CUBE_H, w // CUBE_W
+
+
+def clip_size(dims: tuple[int, int, int]) -> tuple[int, int, int]:
+    """(T, H, W) of a clip whose cube grid is dims; the inverse of VideoClip.grid_dims."""
+    tp, hp, wp = dims
+    return tp * CUBE_T, hp * CUBE_H, wp * CUBE_W
 
 
 @dataclass
@@ -80,38 +84,6 @@ class TargetCubes:
         return values * self.stds[:, None] + self.means[:, None]
 
 
-def sample_clip(video: np.ndarray, mode: str, tau: int, frames: int,
-                rng: np.random.Generator | None = None, start: int | None = None) -> VideoClip:
-    """Cut a T-frame clip out of a raw (3, N, H, W) frame sequence.
-
-    dense: frames start, start+tau, ..., start+(T-1)*tau.
-    uniform: split the video into T equal segments, one random frame each.
-    """
-    n = video.shape[1]
-    if mode == "dense":
-        span = (frames - 1) * tau + 1
-        if n < span:
-            raise SamplingError(f"dense sampling needs {span} frames, video has {n}")
-        if start is None:
-            start = int(rng.integers(0, n - span + 1)) if rng is not None else 0
-        elif start + span > n:
-            raise SamplingError(f"start {start} + span {span} exceeds video length {n}")
-        idx = start + tau * np.arange(frames)
-    elif mode == "uniform":
-        if n < frames:
-            raise SamplingError(f"uniform sampling needs {frames} frames, video has {n}")
-        bounds = np.linspace(0, n, frames + 1)
-        if rng is None:
-            idx = ((bounds[:-1] + bounds[1:]) / 2).astype(int)
-        else:
-            idx = np.array([int(rng.integers(int(bounds[i]), max(int(bounds[i]) + 1, int(bounds[i + 1]))))
-                            for i in range(frames)])
-        start = int(idx[0])
-    else:
-        raise SamplingError(f"unknown sampling mode {mode!r}")
-    return VideoClip(np.ascontiguousarray(video[:, idx]), stride=tau, start=start)
-
-
 def cubify(clip: VideoClip) -> CubeGrid:
     """Partition a clip into non-overlapping 2x16x16 cubes, flattened per token."""
     tp, hp, wp = clip.grid_dims
@@ -128,7 +100,7 @@ def decubify(grid: CubeGrid) -> VideoClip:
     tp, hp, wp = grid.dims
     x = grid.tokens.reshape(tp, hp, wp, 3, CUBE_T, CUBE_H, CUBE_W)
     x = x.transpose(3, 0, 4, 1, 5, 2, 6)
-    pixels = np.ascontiguousarray(x.reshape(3, tp * CUBE_T, hp * CUBE_H, wp * CUBE_W))
+    pixels = np.ascontiguousarray(x.reshape(3, *clip_size(grid.dims)))
     return VideoClip(pixels)
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .masking import MaskMap
-from .video import CUBE_H, CUBE_T, CUBE_W, VideoClip
+from .masking import MaskMap, _slice_grids
+from .video import VideoClip, cubify, decubify
 
 
 def write_ppm(path: str, image: np.ndarray):
@@ -23,33 +23,21 @@ def frame_to_image(clip: VideoClip, frame: int) -> np.ndarray:
 
 def mask_heatmap(mask: MaskMap, cell: int = 8) -> np.ndarray:
     """Temporal slices side by side; masked cells dark red, visible light gray."""
-    t, s = mask.dims
-    side = int(np.sqrt(s))
-    if side * side != s:
-        side, rows = s, 1
-    else:
-        rows = side
+    grids = _slice_grids(mask)
+    t, rows, cols = grids.shape
     gap = 2
-    img = np.ones((rows * cell, t * (side * cell + gap) - gap, 3))
-    for ti in range(t):
-        block = mask.mask[ti].reshape(rows, side)
+    img = np.ones((rows * cell, t * (cols * cell + gap) - gap, 3))
+    for ti, block in enumerate(grids):
         tile = np.where(block[:, :, None], [0.55, 0.08, 0.08], [0.85, 0.85, 0.85])
         tile = np.repeat(np.repeat(tile, cell, axis=0), cell, axis=1)
-        x0 = ti * (side * cell + gap)
-        img[:, x0:x0 + side * cell] = tile
+        x0 = ti * (cols * cell + gap)
+        img[:, x0:x0 + cols * cell] = tile
     return img
 
 
 def gray_masked_cubes(clip: VideoClip, mask: MaskMap, gray: float = 0.5) -> VideoClip:
     """Copy of the clip with every masked cube's pixels replaced by flat gray."""
-    tp, hp, wp = clip.grid_dims
-    out = clip.pixels.copy()
-    masked = mask.mask.reshape(tp, hp, wp)
-    for t in range(tp):
-        for h in range(hp):
-            for w in range(wp):
-                if masked[t, h, w]:
-                    out[:, t * CUBE_T:(t + 1) * CUBE_T,
-                        h * CUBE_H:(h + 1) * CUBE_H,
-                        w * CUBE_W:(w + 1) * CUBE_W] = gray
-    return VideoClip(out, stride=clip.stride, start=clip.start)
+    grid = cubify(clip)
+    grid.tokens = grid.tokens.copy()  # a one-cube clip's tokens are a view of its pixels
+    grid.tokens[mask.masked_indices] = gray
+    return decubify(grid)

@@ -14,8 +14,7 @@ import pytest
 
 from maskvid.gradsuite import run_gradient_suite
 from maskvid.masking import leakage_probe, make_mask
-from maskvid.model import (ModelConfig, desk_config, init_mae_params,
-                           mae_forward, vit_base_config)
+from maskvid.model import ModelConfig, init_mae_params, mae_forward, vit_base_config
 from maskvid.tensor import Param, Tensor
 from maskvid.training import (OptimState, TrainConfig, adamw_step,
                               cosine_warmup_lr, finetune, load_checkpoint,
@@ -124,7 +123,7 @@ def test_single_clip_memorization_and_reconstruction():
     cfg = TrainConfig(mode="pretrain", total_steps=300, base_lr=2.56,
                       batch_size=1, weight_decay=0.0, seed=0)
     t0 = time.monotonic()
-    result = pretrain(cfg, [clip], model_cfg=desk_config())
+    result = pretrain(cfg, [clip], model_cfg=ModelConfig())
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0, f"memorization took {elapsed:.1f}s"
     initial, final = result.trace[0][2], result.trace[-1][2]
@@ -247,8 +246,8 @@ def _determinism_setup():
 
 def test_identical_seeds_give_bitwise_identical_checkpoints():
     ds, cfg = _determinism_setup()
-    a = pretrain(cfg, ds, model_cfg=desk_config())
-    b = pretrain(cfg, ds, model_cfg=desk_config())
+    a = pretrain(cfg, ds, model_cfg=ModelConfig())
+    b = pretrain(cfg, ds, model_cfg=ModelConfig())
     assert a.checkpoint.params.keys() == b.checkpoint.params.keys()
     for name in a.checkpoint.params:
         assert a.checkpoint.params[name].tobytes() == b.checkpoint.params[name].tobytes()
@@ -257,8 +256,8 @@ def test_identical_seeds_give_bitwise_identical_checkpoints():
 
 def test_resume_reproduces_uninterrupted_trace(tmp_path):
     ds, cfg = _determinism_setup()
-    full = pretrain(cfg, ds, model_cfg=desk_config())
-    partial = pretrain(cfg, ds, model_cfg=desk_config(), stop_step=8)
+    full = pretrain(cfg, ds, model_cfg=ModelConfig())
+    partial = pretrain(cfg, ds, model_cfg=ModelConfig(), stop_step=8)
     path = str(tmp_path / "mid.ckpt")
     save_checkpoint(partial.checkpoint, path)
     resumed = pretrain(cfg, ds, resume=load_checkpoint(path))

@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maskvid import cli
 from maskvid.cli import _FIELD_TYPES, build_configs
-from maskvid.errors import MaskvidError
-from maskvid.model import ModelConfig
+from maskvid.errors import CheckpointError, MaskvidError
+from maskvid.model import ModelConfig, classify, init_head_params, init_mae_params
 from maskvid.training import (SNAPSHOT_FIELDS, Checkpoint, TrainConfig, load_checkpoint,
-                              params_from_checkpoint, save_checkpoint, snapshot_config)
+                              params_from_checkpoint, pretrain, save_checkpoint,
+                              snapshot_config)
+from maskvid.video import VideoClip, clip_size, synth_moving_sprites
 
 BASE = [sys.executable, "-m", "maskvid.cli"]
 
@@ -83,12 +86,21 @@ _BADLY_TYPED = [("pretrain", "model.d_enc=abc"), ("pretrain", "model.dims=8,x,4"
                 ("pretrain", "data.seed=1.5"), ("ablate", "ablate.seeds=abc"),
                 ("ablate", "ablate.values=0.5"), ("ablate", "ablate.pretrain_clips=x"),
                 ("pretrain", "model.heads_enc=0"), ("pretrain", "model.d_enc=0"),
-                ("pretrain", "model.depth_enc=-1"), ("pretrain", "train.warmup_epochs=-1")]
+                ("pretrain", "model.depth_enc=-1"), ("pretrain", "train.warmup_epochs=-1"),
+                ("pretrain", "train.mode=finetune"), ("ablate", "train.base_lr=1000"),
+                ("ablate", "data.count=4"), ("ablate", 'ablate.values=["a"]'),
+                ("ablate --axis decoder_depth", 'ablate.values=["x"]'),
+                ("ablate --axis decoder_depth", "ablate.values=[1.5]"),
+                ("ablate --axis dataset_fraction", "ablate.values=[true]"),
+                ("pretrain", "train.seed=-1"), ("pretrain", "data.seed=-1"),
+                ("pretrain", "train.beta1=1.0"), ("pretrain", "train.layer_decay=1e308")]
 
 
 @pytest.mark.parametrize("command,override", _BADLY_TYPED, ids=[o for _, o in _BADLY_TYPED])
 def test_badly_typed_config_value_exits_one_without_traceback(tmp_path, command, override):
-    axis = ["--axis", "ratio"] if command == "ablate" else []
+    command, *axis = command.split()
+    if command == "ablate" and not axis:
+        axis = ["--axis", "ratio"]
     res = run_cli([command, *axis, "--set", override], tmp_path)
     assert res.returncode == 1
     assert "event=config_error" in res.stdout
@@ -107,6 +119,18 @@ def test_corrupt_checkpoint_header_exits_one_without_traceback(tmp_path, key, ra
                   tmp_path)
     assert res.returncode == 1
     assert "event=config_error" in res.stdout and key in res.stdout
+    assert "Traceback" not in res.stderr
+
+
+def test_checkpoint_whose_tensors_disagree_with_its_header_exits_one(tmp_path):
+    ckpt_path = str(_pretrain(tmp_path) / "checkpoint.ckpt")  # d_enc 16
+    ckpt = load_checkpoint(ckpt_path)
+    ckpt.config["model.d_enc"] = "32"
+    save_checkpoint(ckpt, ckpt_path)
+    res = run_cli(["probe", "--checkpoint", ckpt_path, "--out", str(tmp_path / "probe")],
+                  tmp_path)
+    assert res.returncode == 1
+    assert "event=config_error" in res.stdout and "'embed/b' has shape (16,)" in res.stdout
     assert "Traceback" not in res.stderr
 
 
@@ -134,16 +158,25 @@ def test_build_configs_raises_nothing_but_maskvid_errors(entries):
         pass
 
 
+_DESK_TENSORS = {n: p.value.data for n, p in init_mae_params(ModelConfig()).params.items()}
+
+
 @settings(max_examples=300, deadline=None)
 @given(entries=_config_entries(SNAPSHOT_FIELDS))
 def test_params_from_checkpoint_raises_nothing_but_maskvid_errors(entries):
     header = {**snapshot_config(ModelConfig(), TrainConfig()), **entries}
-    ckpt = Checkpoint(params={}, optim_m={}, optim_v={}, opt_step=0, step=0, config=header,
-                      rng_state={})
+    ckpt = Checkpoint(params=_DESK_TENSORS, optim_m={}, optim_v={}, opt_step=0, step=0,
+                      config=header, rng_state={})
     try:
-        params_from_checkpoint(ckpt)
+        params = params_from_checkpoint(ckpt)
     except MaskvidError:
-        pass
+        return
+    # what it accepts, it can run; the token bound keeps the attention matrix small
+    cfg = params.config
+    if cfg.num_classes >= 2 and cfg.n_tokens <= 1568:
+        clip = VideoClip(np.zeros((3, *clip_size(cfg.dims)), dtype=np.float32))
+        logits = classify(clip, params, init_head_params(cfg))
+        assert logits.shape == (cfg.num_classes,) and np.isfinite(logits.data).all()
 
 
 @pytest.mark.parametrize("model_kw", [{}, {"dims": (8, 5, 5)}])
@@ -186,22 +219,35 @@ def test_finetune_from_checkpoint(tmp_path):
     outdir = _pretrain(tmp_path)
     ftdir = tmp_path / "ft"
     res = run_cli(["finetune", "--checkpoint", str(outdir / "checkpoint.ckpt"),
-                   *TINY_TRAIN, "--set", "train.mode=finetune",
-                   "--set", "data.label_count=4", "--set", "data.eval_count=4",
+                   *TINY_TRAIN, "--set", "data.label_count=4", "--set", "data.eval_count=4",
                    "--out", str(ftdir)], tmp_path)
     assert res.returncode == 0, res.stderr + res.stdout
     assert "accuracy=" in res.stdout
-    assert (ftdir / "finetune.ckpt").exists()
+    assert load_checkpoint(str(ftdir / "finetune.ckpt")).config["train.mode"] == '"finetune"'
 
 
 def test_probe_from_checkpoint(tmp_path):
     outdir = _pretrain(tmp_path)
     res = run_cli(["probe", "--checkpoint", str(outdir / "checkpoint.ckpt"),
-                   *TINY_TRAIN, "--set", "train.mode=probe",
-                   "--set", "data.label_count=4", "--set", "data.eval_count=4",
+                   *TINY_TRAIN, "--set", "data.label_count=4", "--set", "data.eval_count=4",
                    "--out", str(tmp_path / "probe")], tmp_path)
     assert res.returncode == 0, res.stderr + res.stdout
     assert "accuracy=" in res.stdout
+    assert load_checkpoint(str(tmp_path / "probe" / "probe.ckpt")).config["train.mode"] == '"probe"'
+
+
+@pytest.mark.parametrize("command", ["finetune", "probe"])
+def test_pretrain_cannot_resume_from_a_finetune_or_probe_checkpoint(tmp_path, command):
+    outdir = _pretrain(tmp_path)
+    res = run_cli([command, "--checkpoint", str(outdir / "checkpoint.ckpt"), *TINY_TRAIN,
+                   "--set", "data.label_count=4", "--set", "data.eval_count=4",
+                   "--out", str(tmp_path / command)], tmp_path)
+    assert res.returncode == 0, res.stderr + res.stdout
+    ckpt = load_checkpoint(str(tmp_path / command / f"{command}.ckpt"))
+    model_cfg, train_cfg, _ = build_configs(ckpt.config)
+    dataset = synth_moving_sprites(0, 4, size=clip_size(model_cfg.dims))
+    with pytest.raises(CheckpointError, match="moments"):
+        pretrain(train_cfg, dataset, model_cfg=model_cfg, resume=ckpt)
 
 
 def test_finetune_that_diverges_exits_two_with_its_loss_trace(tmp_path):
@@ -211,8 +257,8 @@ def test_finetune_that_diverges_exits_two_with_its_loss_trace(tmp_path):
     save_checkpoint(ckpt, ckpt_path)
     ftdir = tmp_path / "ft"
     res = run_cli(["finetune", "--checkpoint", ckpt_path, *TINY_TRAIN,
-                   "--set", "train.mode=finetune", "--set", "data.label_count=4",
-                   "--set", "data.eval_count=4", "--out", str(ftdir)], tmp_path)
+                   "--set", "data.label_count=4", "--set", "data.eval_count=4",
+                   "--out", str(ftdir)], tmp_path)
     assert res.returncode == 2, res.stderr + res.stdout
     assert "event=finetune_aborted" in res.stdout
     assert "Traceback" not in res.stderr
@@ -298,3 +344,77 @@ def test_ablate_runs_a_strategy_ratio_cell_at_the_acceptance_geometry(tmp_path):
     # frame masking at 0.875 leaves one of 8 slices: 25 tokens on (8, 5, 5), 16 on (8, 4, 4)
     assert {row["visible_tokens"] for row in rows} == {"25"}
     assert "model.dims=[8, 5, 5]\n" in (outdir / "resolved.cfg").read_text()
+
+
+def test_ablate_takes_its_seeds_from_ablate_seeds_only(capsys):
+    assert cli.run(["ablate", "--axis", "ratio", "--seed", "3"]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+# -- argv fuzz: every argv exits 0, 1 or 2 and raises nothing ---------------------
+
+TINY_ABLATE = ["--axis", "ratio", "--set", "ablate.values=[0.5]", "--set", "ablate.seeds=[0]",
+               "--set", "ablate.pretrain_steps=1", "--set", "ablate.finetune_steps=1",
+               "--set", "ablate.pretrain_clips=4", "--set", "ablate.label_clips=4",
+               "--set", "ablate.eval_clips=4"]
+TINY_LABELS = ["--set", "data.label_count=4", "--set", "data.eval_count=4"]
+# sizes, counts and steps stay in [-2, 4] so that no run gets large
+_ARGV_INT = st.integers(-2, 4)
+_ARGV_FLOAT = st.floats().map(json.dumps)
+_ARGV_WORDS = ["tube", "random", "frame", "pretrain", "finetune", "probe", "ratio",
+               "decoder_depth", "same_iterations"]
+_ARGV_ANY = st.one_of(
+    _ARGV_INT.map(str), _ARGV_FLOAT, st.text(max_size=8),
+    st.lists(st.one_of(_ARGV_INT, st.floats(), st.text(max_size=4)), max_size=3).map(json.dumps))
+
+
+def _argv_value(hint):
+    """Mostly values of the key's own type, sometimes anything."""
+    text = repr(hint)
+    if "int" in text and ("tuple" in text or "list" in text):
+        typed = st.lists(_ARGV_INT, max_size=4).map(json.dumps)
+    elif "int" in text:
+        typed = _ARGV_INT.map(str)
+    elif "float" in text:
+        typed = _ARGV_FLOAT
+    elif "bool" in text:
+        typed = st.sampled_from(["true", "false"])
+    elif "str" in text:
+        typed = st.one_of(st.sampled_from(_ARGV_WORDS), st.text(max_size=8))
+    else:  # ablate.values
+        typed = st.lists(st.one_of(_ARGV_INT, st.floats(0, 1), st.sampled_from(_ARGV_WORDS)),
+                         min_size=1, max_size=2).map(json.dumps)
+    return st.one_of(typed, typed, _ARGV_ANY)
+
+
+_ARGV_SET = st.one_of(
+    *(st.tuples(st.just(f"{prefix}.{name}"), _argv_value(hint))
+      for prefix, names in _FIELD_TYPES.items() for name, hint in names.items()),
+    st.tuples(st.sampled_from(_UNKNOWN_KEYS), _ARGV_ANY))
+
+
+@pytest.fixture(scope="module")
+def argv_bases(tmp_path_factory):
+    """Per subcommand, a tiny valid argv; all share one tiny pretrain checkpoint."""
+    root = tmp_path_factory.mktemp("argv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ARTIFACT_OUT", raising=False)
+        assert cli.run(["pretrain", *TINY_MODEL, *TINY_TRAIN, *TINY_DATA,
+                        "--out", str(root / "ckpt")]) == 0
+        ckpt = ["--checkpoint", str(root / "ckpt" / "checkpoint.ckpt")]
+        bases = {"pretrain": [*TINY_MODEL, *TINY_TRAIN, *TINY_DATA],
+                 "finetune": [*ckpt, *TINY_TRAIN, *TINY_LABELS],
+                 "probe": [*ckpt, *TINY_TRAIN, *TINY_LABELS],
+                 "reconstruct": ckpt,
+                 "maskviz": ["--dims", "2,4"],
+                 "ablate": [*TINY_MODEL, *TINY_ABLATE]}
+        yield {cmd: [cmd, *base, "--out", str(root / cmd)] for cmd, base in bases.items()}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "probe", "reconstruct",
+                                     "maskviz", "ablate"])
+@settings(max_examples=400, deadline=None)
+@given(sets=st.lists(_ARGV_SET, max_size=3))
+def test_cli_argv_exits_zero_one_or_two_and_raises_nothing(argv_bases, command, sets):
+    argv = argv_bases[command] + [arg for key, value in sets for arg in ("--set", f"{key}={value}")]
+    assert cli.run(argv) in (0, 1, 2)

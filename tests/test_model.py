@@ -6,10 +6,9 @@ import pytest
 from maskvid import tensor as tk
 from maskvid.errors import ConfigError
 from maskvid.masking import make_mask
-from maskvid.model import (ModelConfig, add_pos_embed, classify, cube_embed,
-                           decode, desk_config, encode, init_head_params,
-                           init_mae_params, mae_forward, pos_embed_table,
-                           vit_base_config)
+from maskvid.model import (ModelConfig, _even_split, _sincos_1d, classify, cube_embed,
+                           decode, encode, init_head_params, init_mae_params,
+                           mae_forward, pos_embed_table, reconstruct, vit_base_config)
 from maskvid.tensor import Tensor
 from maskvid.video import VideoClip, cubify
 
@@ -23,7 +22,7 @@ def _clip(cfg, seed=0):
 # -- configuration ------------------------------------------------------------
 
 def test_desk_config_token_budget():
-    cfg = desk_config()
+    cfg = ModelConfig()
     assert cfg.dims == (8, 4, 4)
     assert cfg.n_tokens == 128
     assert cfg.spatial_sites == 16
@@ -73,17 +72,37 @@ def test_pos_embed_values_bounded_by_one():
 
 
 def test_add_pos_embed_is_additive():
-    cfg = desk_config()
+    # as decode adds params.pos_dec
+    cfg = ModelConfig()
     table = pos_embed_table(cfg.dims, cfg.d_enc)
     x = np.zeros((128, 64), dtype=np.float32)
-    out = add_pos_embed(Tensor(x), table).data
+    out = tk.add(Tensor(x), Tensor(table.astype(np.float32))).data
     np.testing.assert_allclose(out, table, atol=1e-6)
+
+
+@pytest.mark.parametrize("dims,width", [((8, 4, 4), 64), ((2, 3, 5), 32), ((8, 14, 14), 768)])
+def test_pos_embed_table_rows_are_row_major_over_t_h_w(dims, width):
+    t, h, w = dims
+    wt, wh, ww = _even_split(width)
+    et, eh, ew = (_sincos_1d(np.arange(n), k) for n, k in zip(dims, (wt, wh, ww)))
+    table = pos_embed_table(dims, width)
+    row = 0
+    for ti in range(t):
+        for hi in range(h):
+            for wi in range(w):
+                expect = np.zeros(width)
+                expect[:wt] = et[ti]
+                expect[wt:wt + wh] = eh[hi]
+                expect[wt + wh:wt + wh + ww] = ew[wi]
+                np.testing.assert_array_equal(table[row], expect)
+                row += 1
+    assert row == table.shape[0]
 
 
 # -- shape conformance --------------------------------------------------------
 
 def test_desk_forward_shapes():
-    cfg = desk_config()
+    cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
     mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
@@ -108,7 +127,7 @@ def test_full_scale_forward_shapes_without_training():
     assert embedded.shape == (1568, 768)
 
     vis_idx = mask.visible_indices
-    with_pos = add_pos_embed(embedded, params.pos_enc)
+    with_pos = tk.add(embedded, Tensor(params.pos_enc))
     encoded = encode(tk.gather_rows(with_pos, vis_idx), params)
     assert encoded.shape == (160, 768)
 
@@ -117,7 +136,7 @@ def test_full_scale_forward_shapes_without_training():
 
 
 def test_encoder_only_sees_visible_tokens():
-    cfg = desk_config()
+    cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
     mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
@@ -129,7 +148,7 @@ def test_encoder_only_sees_visible_tokens():
     vis_idx = mask.visible_indices
 
     def encode_visible(tokens):
-        embedded = add_pos_embed(cube_embed(Tensor(tokens), params), params.pos_enc)
+        embedded = tk.add(cube_embed(Tensor(tokens), params), Tensor(params.pos_enc))
         return encode(tk.gather_rows(embedded, vis_idx), params)
 
     a = encode_visible(grid.tokens)
@@ -138,7 +157,7 @@ def test_encoder_only_sees_visible_tokens():
 
 
 def test_decode_places_visible_and_mask_tokens_correctly():
-    cfg = desk_config()
+    cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     # instrument: make enc2dec identity-ish impossible, instead check the
     # scatter by marking visible rows through a constant offset
@@ -152,7 +171,7 @@ def test_decode_places_visible_and_mask_tokens_correctly():
 
 def test_mae_forward_batch_matches_single(tmp_path):
     from maskvid.model import mae_forward_batch
-    cfg = desk_config()
+    cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
     grid = cubify(clip)
@@ -168,7 +187,7 @@ def test_mae_forward_batch_matches_single(tmp_path):
 
 
 def test_zero_mask_ratio_runs_end_to_end():
-    cfg = desk_config()
+    cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
     mask = make_mask("random", (8, 16), 0.3, 0)
@@ -177,7 +196,7 @@ def test_zero_mask_ratio_runs_end_to_end():
 
 
 def test_mae_forward_rejects_geometry_mismatch():
-    cfg = desk_config()
+    cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
     mask = make_mask("tube", (4, 16), 0.9, np.random.default_rng(0))  # wrong T'
@@ -188,7 +207,7 @@ def test_mae_forward_rejects_geometry_mismatch():
 # -- classification head ------------------------------------------------------
 
 def test_classify_returns_logits_per_class():
-    cfg = desk_config()
+    cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     head = init_head_params(cfg, seed=0)
     logits = classify(_clip(cfg), params, head)
@@ -201,7 +220,7 @@ def test_classify_returns_logits_per_class():
 
 def test_classify_mean_pool_is_token_order_invariant_at_uniform_pos():
     # with identical tokens everywhere, all logits rows must coincide
-    cfg = desk_config()
+    cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     head = init_head_params(cfg, seed=0)
     pixels = np.full((3, 16, 64, 64), 0.5, dtype=np.float32)
@@ -210,15 +229,28 @@ def test_classify_mean_pool_is_token_order_invariant_at_uniform_pos():
 
 
 def test_head_requires_at_least_two_classes():
-    cfg = desk_config()
+    cfg = ModelConfig()
     with pytest.raises(ConfigError):
         init_head_params(ModelConfig(num_classes=1), seed=0)
     del cfg
 
 
 def test_init_is_deterministic_in_seed():
-    cfg = desk_config()
+    cfg = ModelConfig()
     a = init_mae_params(cfg, seed=4)
     b = init_mae_params(cfg, seed=4)
-    for name in a.names():
+    for name in a.params:
         np.testing.assert_array_equal(a[name].value.data, b[name].value.data)
+
+
+def test_reconstruct_keeps_visible_cubes_and_clips_predictions():
+    cfg = ModelConfig()
+    params = init_mae_params(cfg, seed=0)
+    clip = _clip(cfg)
+    mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
+    recon = reconstruct(clip, mask, params)
+    tokens, original = cubify(recon).tokens, cubify(clip).tokens
+    np.testing.assert_array_equal(tokens[mask.visible_indices], original[mask.visible_indices])
+    assert recon.pixels.dtype == np.float32
+    assert 0.0 <= recon.pixels.min() and recon.pixels.max() <= 1.0
+    assert not np.array_equal(tokens[mask.masked_indices], original[mask.masked_indices])

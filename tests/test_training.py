@@ -220,7 +220,7 @@ def test_layer_lr_scales_decay_toward_input():
     # deeper blocks get larger scales
     assert scales["enc/block3/wq"] > scales["enc/block0/wq"] > scales["embed/w"]
     # every encoder block parameter of a desk model is scaled, nothing else is
-    names = init_mae_params(DESK).names()
+    names = init_mae_params(DESK).params
     blocks = {n for n in names if n.startswith("enc/block")}
     assert set(scales) == blocks | {"embed/w", "embed/b"}
     for n in blocks:
@@ -340,12 +340,12 @@ def test_loss_trace_csv_format(tmp_path):
 def test_linear_probe_leaves_encoder_bitwise_unchanged():
     cfg = _tiny_cfg_64()
     params = init_mae_params(cfg, seed=0)
-    before = {n: params[n].value.data.copy() for n in params.names()}
+    before = {n: params[n].value.data.copy() for n in params.params}
     ds = synth_moving_sprites(seed=0, count=4, noise_level=0.0)
     probe_cfg = TrainConfig(mode="probe", base_lr=0.1, batch_size=2,
                             total_steps=3, seed=0)
     linear_probe(params, ds, ds, probe_cfg)
-    for n in params.names():
+    for n in params.params:
         np.testing.assert_array_equal(params[n].value.data, before[n])
 
 
@@ -377,12 +377,12 @@ def test_finetune_moves_encoder_weights():
 def test_supervised_loops_stop_cleanly_on_a_non_finite_loss(runner):
     params = init_mae_params(_tiny_cfg_64(), seed=0)
     params["enc/norm/g"].value.data[0] = np.nan
-    before = {n: params[n].value.data.copy() for n in params.names()}
+    before = {n: params[n].value.data.copy() for n in params.params}
     ds = synth_moving_sprites(seed=0, count=4, noise_level=0.0)
     cfg = TrainConfig(mode="finetune", batch_size=2, total_steps=3, seed=0)
     result = runner(params, ds, ds, cfg)
     assert result.aborted and result.trace == []
-    for n in params.names():
+    for n in params.params:
         np.testing.assert_array_equal(params[n].value.data, before[n])
 
 
@@ -391,6 +391,19 @@ def test_finetune_rejects_geometry_mismatch():
     ds = synth_moving_sprites(seed=0, count=4)     # (8,4,4) grid clips
     with pytest.raises(ConfigError):
         finetune(params, ds, ds, TrainConfig(mode="finetune", total_steps=1))
+
+
+@pytest.mark.parametrize("runner", [finetune, linear_probe], ids=["finetune", "linear_probe"])
+def test_supervised_runs_reject_empty_sets_and_labels_beyond_the_head(runner):
+    params = init_mae_params(ModelConfig(num_classes=2), seed=0)
+    ds = synth_moving_sprites(seed=0, count=4)  # labels 0-3
+    cfg = TrainConfig(mode="finetune", total_steps=1)
+    with pytest.raises(ContractError):
+        runner(params, ds.subset([]), ds, cfg)
+    with pytest.raises(ContractError):
+        runner(params, ds, ds.subset([]), cfg)
+    with pytest.raises(ConfigError, match="num_classes"):
+        runner(params, ds, ds, cfg)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

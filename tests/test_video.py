@@ -1,48 +1,19 @@
-"""Tests for clip sampling, cube tokenization, and the sprites dataset."""
+"""Tests for cube tokenization, the sprites dataset, raw clips and masked views."""
 
 import numpy as np
 import pytest
 
 from maskvid.errors import GenerationError, SamplingError
-from maskvid.video import (CUBE_WIDTH, DIRECTIONS, VideoClip, cubify, decubify,
-                           normalize_cube_targets, read_raw_clip, sample_clip,
-                           synth_moving_sprites, write_raw_clip)
+from maskvid.masking import STRATEGIES, make_mask
+from maskvid.video import (CUBE_WIDTH, DIRECTIONS, VideoClip, clip_size, cubify, decubify,
+                           normalize_cube_targets, read_raw_clip, synth_moving_sprites,
+                           write_raw_clip)
+from maskvid.viz import gray_masked_cubes
 
 
 def _video(frames=64, h=64, w=64, seed=0):
     rng = np.random.default_rng(seed)
     return rng.random((3, frames, h, w)).astype(np.float32)
-
-
-# -- clip sampling ------------------------------------------------------------
-
-def test_dense_sampling_uses_fixed_stride_indices():
-    video = _video(frames=64)
-    clip = sample_clip(video, mode="dense", tau=4, frames=16, start=0)
-    expect_idx = np.arange(0, 64, 4)
-    np.testing.assert_array_equal(clip.pixels, video[:, expect_idx])
-
-
-def test_dense_sampling_respects_start_offset():
-    video = _video(frames=70)
-    clip = sample_clip(video, mode="dense", tau=4, frames=16, start=3)
-    np.testing.assert_array_equal(clip.pixels, video[:, 3 + 4 * np.arange(16)])
-
-
-def test_dense_sampling_raises_when_video_too_short():
-    video = _video(frames=20)
-    with pytest.raises(SamplingError, match=r"\d+"):
-        sample_clip(video, mode="dense", tau=4, frames=16)
-
-
-def test_uniform_sampling_takes_one_frame_per_segment():
-    video = _video(frames=64)
-    rng = np.random.default_rng(0)
-    clip = sample_clip(video, mode="uniform", tau=4, frames=16, rng=rng)
-    assert clip.pixels.shape == (3, 16, 64, 64)
-    rng = np.random.default_rng(0)
-    clip2 = sample_clip(video, mode="uniform", tau=4, frames=16, rng=rng)
-    np.testing.assert_array_equal(clip.pixels, clip2.pixels)
 
 
 # -- cube tokenization --------------------------------------------------------
@@ -53,6 +24,11 @@ def test_cubify_full_scale_grid_dimensions():
     assert grid.dims == (8, 14, 14)
     assert grid.tokens.shape == (8 * 14 * 14, CUBE_WIDTH)
     assert grid.tokens.shape == (1568, 1536)
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (8, 5, 5), (8, 14, 14)])
+def test_clip_size_inverts_grid_dims(dims):
+    assert VideoClip(np.zeros((3, *clip_size(dims)), dtype=np.float32)).grid_dims == dims
 
 
 def test_cubify_decubify_round_trip():
@@ -209,3 +185,17 @@ def test_raw_clip_bad_manifest_raises_sampling_error_naming_key(tmp_path, key, l
     manifest.write_text("\n".join(lines + ([line] if line else [])) + "\n")
     with pytest.raises(SamplingError, match=key):
         read_raw_clip(str(path))
+
+
+# -- masked view ------------------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("dims", [(1, 1, 1), (8, 4, 4)])
+def test_gray_masked_cubes_grays_masked_cubes_and_keeps_visible_ones(strategy, dims):
+    clip = VideoClip(_video(*clip_size(dims)))
+    before = clip.pixels.copy()
+    mask = make_mask(strategy, (dims[0], dims[1] * dims[2]), 0.5, np.random.default_rng(0))
+    tokens, original = cubify(gray_masked_cubes(clip, mask)).tokens, cubify(clip).tokens
+    assert (tokens[mask.masked_indices] == np.float32(0.5)).all()
+    np.testing.assert_array_equal(tokens[mask.visible_indices], original[mask.visible_indices])
+    np.testing.assert_array_equal(clip.pixels, before)  # the input is left as it was

@@ -1,0 +1,150 @@
+"""Print one `name sha256` line per artifact of a fixed maskvid replay.
+
+A refactor that must leave the numbers bitwise unchanged runs this on both
+source trees and diffs the two outputs:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/replay_digest.py > after.txt
+    diff before.txt after.txt
+
+The replay covers:
+- 150 pretraining steps at the (8,5,5) acceptance geometry (batch 4, seed 0,
+  base_lr 0.64, the 16 noise-free acceptance sprites) for tube 0.9, random
+  0.9 and frame 0.875: loss trace, all parameters, both AdamW moments;
+- a 40-step fine-tune and a 40-step linear probe from the saved and reloaded
+  tube checkpoint: traces, accuracies, encoder parameters and head;
+- `maskvid reconstruct` from that checkpoint: every PPM file it writes;
+- make_mask over seeds 0-999 at (8,25) and (8,196) for each strategy;
+- pos_embed_table at (8,4,4) and (8,14,14) for the encoder and decoder widths;
+- gray_masked_cubes, mask_to_text and mask_heatmap for each strategy;
+- every value of the gradient suite.
+
+It calls only public functions whose signatures have been stable across the
+refactors it checks. It takes about half a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from maskvid import cli, gradsuite
+from maskvid.masking import make_mask, mask_to_text
+from maskvid.model import ModelConfig, pos_embed_table
+from maskvid.training import (TrainConfig, finetune, linear_probe, load_checkpoint,
+                              pretrain, save_checkpoint)
+from maskvid.video import synth_moving_sprites
+from maskvid.viz import gray_masked_cubes, mask_heatmap
+
+GEOMETRY = ModelConfig(dims=(8, 5, 5))
+SPRITES = dict(noise_level=0.0, size=(16, 80, 80), sprite_extent=24)
+CELLS = (("tube", 0.9), ("random", 0.9), ("frame", 0.875))
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def arrays_digest(arrays: dict) -> str:
+    """Names, shapes, dtypes and bytes of a name -> array mapping, in name order."""
+    return digest(*(x for name in sorted(arrays) for x in
+                    (name, arrays[name].shape, str(arrays[name].dtype),
+                     np.ascontiguousarray(arrays[name]).tobytes())))
+
+
+def emit(name: str, value: str):
+    print(f"{name} {value}", flush=True)
+
+
+def replay_training(workdir: str) -> str:
+    """The pretraining cells and the transfer runs; returns the tube checkpoint's path."""
+    pre_ds = synth_moving_sprites(0, 16, **SPRITES)
+    tube_path = os.path.join(workdir, "tube.ckpt")
+    for strategy, ratio in CELLS:
+        cfg = TrainConfig(mode="pretrain", total_steps=150, base_lr=0.64, batch_size=4,
+                          mask_strategy=strategy, mask_ratio=ratio, seed=0)
+        result = pretrain(cfg, pre_ds, model_cfg=GEOMETRY)
+        ckpt = result.checkpoint
+        emit(f"pretrain/{strategy}/trace", digest(result.trace))
+        emit(f"pretrain/{strategy}/params", arrays_digest(ckpt.params))
+        emit(f"pretrain/{strategy}/adamw_m", arrays_digest(ckpt.optim_m))
+        emit(f"pretrain/{strategy}/adamw_v", arrays_digest(ckpt.optim_v))
+        if strategy == "tube":
+            save_checkpoint(ckpt, tube_path)
+
+    train_ds = synth_moving_sprites(1, 4, **SPRITES)
+    eval_ds = synth_moving_sprites(2, 16, **SPRITES)
+    for mode, runner in (("finetune", finetune), ("probe", linear_probe)):
+        cfg = TrainConfig(mode=mode, beta2=0.999, total_steps=40, base_lr=0.256,
+                          batch_size=4, weight_decay=0.0, seed=0)
+        result = runner(load_checkpoint(tube_path), train_ds, eval_ds, cfg)
+        emit(f"{mode}/trace", digest(result.trace))
+        emit(f"{mode}/accuracy", digest(result.accuracy))
+        emit(f"{mode}/params", arrays_digest({n: p.value.data for n, p in
+                                               result.params.params.items()}))
+        emit(f"{mode}/head", arrays_digest({n: p.value.data for n, p in result.head.items()}))
+    return tube_path
+
+
+def replay_reconstruct(checkpoint: str, workdir: str):
+    out = os.path.join(workdir, "reconstruct")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(["reconstruct", "--checkpoint", checkpoint, "--strategy", "tube",
+                        "--ratio", "0.9", "--out", out])
+    emit("reconstruct/exit_code", digest(code))
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            emit(f"reconstruct/{name}", digest(fh.read()))
+
+
+def replay_masks():
+    for strategy, ratio in CELLS:
+        for dims in ((8, 25), (8, 196)):
+            masks = [make_mask(strategy, dims, ratio, np.random.default_rng(seed)).mask
+                     for seed in range(1000)]
+            emit(f"make_mask/{strategy}/{dims[0]}x{dims[1]}", digest(np.stack(masks).tobytes()))
+    for dims, widths in (((8, 4, 4), (64, 32)), ((8, 14, 14), (768, 384))):
+        for width in widths:
+            table = pos_embed_table(dims, width)
+            emit(f"pos_embed_table/{'x'.join(map(str, dims))}/{width}",
+                 digest(table.shape, str(table.dtype), table.tobytes()))
+
+
+def replay_viz():
+    clip = synth_moving_sprites(0, 4, **SPRITES)[0][0]
+    for strategy, ratio in CELLS:
+        mask = make_mask(strategy, (8, 25), ratio, np.random.default_rng(0))
+        gray = gray_masked_cubes(clip, mask).pixels
+        heat = mask_heatmap(mask)
+        emit(f"gray_masked_cubes/{strategy}", digest(str(gray.dtype), gray.tobytes()))
+        emit(f"mask_to_text/{strategy}", digest(mask_to_text(mask).encode()))
+        emit(f"mask_heatmap/{strategy}", digest(heat.shape, str(heat.dtype), heat.tobytes()))
+
+
+def replay_gradsuite():
+    for name, err in sorted(gradsuite.primitive_checks().items()):
+        emit(f"gradsuite/{name}", digest(err))
+    emit("gradsuite/mae_forward", digest(gradsuite.mae_forward_check()))
+    emit("gradsuite/classify", digest(gradsuite.classify_check()))
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as workdir:
+        tube = replay_training(workdir)
+        replay_reconstruct(tube, workdir)
+    replay_masks()
+    replay_viz()
+    replay_gradsuite()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
