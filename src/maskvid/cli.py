@@ -61,12 +61,17 @@ def parse_config_file(path: str) -> dict[str, str]:
     return cfg
 
 
+def _data_config(given: dict) -> dict:
+    """The data.* values given, over their defaults."""
+    if given.get("seed", 0) < 0:
+        raise ConfigError(f"data.seed must be >= 0, got {given['seed']}")
+    return {**_DATA_DEFAULTS, **given}
+
+
 def build_configs(cfg: dict[str, str]) -> tuple[ModelConfig, TrainConfig, dict]:
     typed = decode_config(cfg, _FIELD_TYPES)
-    if typed["data"].get("seed", 0) < 0:
-        raise ConfigError(f"data.seed must be >= 0, got {typed['data']['seed']}")
     return (ModelConfig(**typed["model"]), TrainConfig(**typed["train"]),
-            {**_DATA_DEFAULTS, **typed["data"]})
+            _data_config(typed["data"]))
 
 
 def _resolve_out(args) -> str:
@@ -88,8 +93,6 @@ def _load_cfg(args) -> dict[str, str]:
             raise ConfigError(f"--set expects key=value, got {override!r}")
         key, _, val = override.partition("=")
         cfg[key] = val
-    if getattr(args, "seed", None) is not None:
-        cfg["train.seed"] = str(args.seed)
     return cfg
 
 
@@ -100,6 +103,8 @@ def _sprites_for(model_cfg: ModelConfig, count: int, seed: int):
 def _training_configs(args) -> tuple[ModelConfig, TrainConfig, dict]:
     """build_configs of the command's config, with train.mode the command's name."""
     cfg = _load_cfg(args)
+    if args.seed is not None:
+        cfg["train.seed"] = str(args.seed)
     model_cfg, train_cfg, data = build_configs(cfg)
     if "train.mode" in cfg and train_cfg.mode != args.command:
         raise ConfigError(f"train.mode={cfg['train.mode']} conflicts with "
@@ -160,8 +165,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _load_cfg(args)
-    _, _, data = build_configs(cfg)
+    # the model and its config come from the checkpoint
+    data = _data_config(decode_config(_load_cfg(args), {"data": _FIELD_TYPES["data"]})["data"])
     out = _resolve_out(args)
     ckpt = load_checkpoint(args.checkpoint)
     params = params_from_checkpoint(ckpt)
@@ -237,13 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Masked video autoencoding at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, checkpoint=False, seed=True):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a config key")
+    def common(p, checkpoint=False, seed=True, config=True):
+        if config:
+            p.add_argument("--config", help="flat key=value config file")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="override a config key")
         p.add_argument("--out", help="output directory (ARTIFACT_OUT wins)")
         if seed:
-            p.add_argument("--seed", type=int, help="training seed override")
+            p.add_argument("--seed", type=int, help="training seed override, or the mask's seed")
         if checkpoint:
             p.add_argument("--checkpoint", required=True)
 
@@ -257,12 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=STRATEGIES, default="tube")
 
     p = sub.add_parser("maskviz", help="text grid + heatmap for a mask")
-    common(p)
+    common(p, config=False)
     p.add_argument("--dims", default="8,196", help="T',S")
     p.add_argument("--ratio", type=float, default=0.9)
     p.add_argument("--strategy", choices=STRATEGIES, default="tube")
 
-    common(sub.add_parser("gradcheck", help="finite-difference gradient suite"))
+    sub.add_parser("gradcheck", help="finite-difference gradient suite")
 
     p = sub.add_parser("ablate", help="run an ablation sweep (seeds: ablate.seeds)")
     common(p, seed=False)

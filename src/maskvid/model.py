@@ -262,19 +262,34 @@ def mae_forward_batch(grids: np.ndarray, visible_indices: np.ndarray,
     return decode(encoded, visible_indices, params, rows)
 
 
+def _stack_grids(clips, params: MAEParams) -> np.ndarray:
+    """The clips' cube grids stacked as (B, N, 1536), in the parameters' dtype."""
+    return np.stack([cubify(c).tokens for c in clips]).astype(params.pos_enc.dtype)
+
+
+def clip_features(grids: np.ndarray, params: MAEParams) -> Tensor:
+    """Embed every cube of (B, N, 1536) grids, add positions, encode, mean-pool: (B, d_enc).
+
+    A clip's features do not depend on the other clips in its batch.
+    """
+    embedded = tk.add(cube_embed(Tensor(grids), params), Tensor(params.pos_enc))
+    return tk.mean_axis(encode(embedded, params), axis=-2)
+
+
+def head_logits(features: Tensor, head: dict[str, Param]) -> Tensor:
+    """Layer-norm, then the linear classifier: (B, d_enc) -> (B, num_classes)."""
+    normed = tk.layer_norm(features, head["head/norm/g"].value, head["head/norm/b"].value)
+    return tk.linear(normed, head["head/w"].value, head["head/b"].value)
+
+
 def classify(clips, params: MAEParams, head: dict[str, Param]) -> Tensor:
-    """Encode all tokens, mean-pool, layer-norm, linear head.
+    """head_logits of clip_features: encode all tokens, mean-pool, layer-norm, linear head.
 
     Accepts one VideoClip or a list; returns (num_classes,) or (B, num_classes).
     """
     single = isinstance(clips, VideoClip)
-    clip_list = [clips] if single else list(clips)
-    grids = np.stack([cubify(c).tokens for c in clip_list]).astype(params.pos_enc.dtype)
-    embedded = tk.add(cube_embed(Tensor(grids), params), Tensor(params.pos_enc))
-    encoded = encode(embedded, params)
-    pooled = tk.mean_axis(encoded, axis=-2)
-    normed = tk.layer_norm(pooled, head["head/norm/g"].value, head["head/norm/b"].value)
-    logits = tk.linear(normed, head["head/w"].value, head["head/b"].value)
+    grids = _stack_grids([clips] if single else clips, params)
+    logits = head_logits(clip_features(grids, params), head)
     if single:
         logits = tk.reshape(logits, (params.config.num_classes,))
     return logits

@@ -15,8 +15,9 @@ import numpy as np
 from . import tensor as tk
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .masking import MaskMap, make_mask
-from .model import (MAEParams, ModelConfig, _head_layout, _param_layout, classify,
-                    init_head_params, init_mae_params, mae_forward_batch)
+from .model import (MAEParams, ModelConfig, _head_layout, _param_layout, _stack_grids,
+                    classify, clip_features, head_logits, init_head_params, init_mae_params,
+                    mae_forward_batch)
 from .tensor import Param, Tape, Tensor
 from .video import TargetCubes, VideoClip, cubify, normalize_cube_targets
 
@@ -524,12 +525,14 @@ class EvalResult:
     aborted: bool = False  # a non-finite loss or gradient stopped training
 
 
+_EVAL_BATCH = 16  # clips per forward-only encoder pass
+
+
 def _eval_accuracy(params: MAEParams, head: dict[str, Param], dataset) -> float:
-    batch_size = 16
     correct = 0
-    for i in range(0, len(dataset), batch_size):
-        clips = [dataset[j][0] for j in range(i, min(i + batch_size, len(dataset)))]
-        labels = [dataset[j][1] for j in range(i, min(i + batch_size, len(dataset)))]
+    for i in range(0, len(dataset), _EVAL_BATCH):
+        clips = [dataset[j][0] for j in range(i, min(i + _EVAL_BATCH, len(dataset)))]
+        labels = [dataset[j][1] for j in range(i, min(i + _EVAL_BATCH, len(dataset)))]
         logits = classify(clips, params, head)
         correct += int((logits.data.argmax(axis=-1) == np.asarray(labels)).sum())
     return correct / len(dataset)
@@ -537,15 +540,25 @@ def _eval_accuracy(params: MAEParams, head: dict[str, Param], dataset) -> float:
 
 def _supervised_loop(params: MAEParams, train_ds, eval_ds, config: TrainConfig,
                      trainable, lr_scales=None) -> EvalResult:
-    """Cross-entropy training; an aborted run is not evaluated (accuracy nan)."""
+    """Cross-entropy training; an aborted run is not evaluated (accuracy nan).
+
+    The training clips are cubified once. Without trainable encoder
+    parameters (the probe), each clip is also encoded once, outside any tape,
+    and every step runs only the head on the cached features: a clip's
+    features do not depend on the other clips in its batch.
+    """
     head = init_head_params(params.config, seed=config.seed)
     all_trainable = list(trainable) + list(head.values())
     n = len(train_ds)
     labels_all = np.array([train_ds[i][1] for i in range(n)])
+    grids = _stack_grids([train_ds[i][0] for i in range(n)], params)
+    if not trainable:
+        pooled = np.concatenate([clip_features(grids[i:i + _EVAL_BATCH], params).data
+                                 for i in range(0, n, _EVAL_BATCH)])
 
     def loss_of(idx):
-        logits = classify([train_ds[int(i)][0] for i in idx], params, head)
-        return tk.cross_entropy(logits, labels_all[idx])
+        features = clip_features(grids[idx], params) if trainable else Tensor(pooled[idx])
+        return tk.cross_entropy(head_logits(features, head), labels_all[idx])
 
     trace, aborted = _train_steps(config, n, np.random.default_rng(config.seed), all_trainable,
                                   OptimState.for_params(all_trainable), loss_of,
@@ -567,19 +580,11 @@ def linear_probe(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds,
                  config: TrainConfig) -> EvalResult:
     """Train only the classification head on a frozen encoder.
 
-    The encoder's parameters stop requiring gradients while the probe runs,
-    so the tape records none of the encoder's ops: only the head is
-    differentiated, and the encoder's gradients are left as they were.
+    The encoder runs once per training clip, outside any tape, so only the
+    head is differentiated and the encoder's gradients are left as they were.
     """
     params = _supervised_params(checkpoint, train_ds, eval_ds)
-    encoder = params.encoder_params()
-    for p in encoder:
-        p.value.requires_grad = False
-    try:
-        return _supervised_loop(params, train_ds, eval_ds, config, trainable=[])
-    finally:
-        for p in encoder:
-            p.value.requires_grad = True
+    return _supervised_loop(params, train_ds, eval_ds, config, trainable=[])
 
 
 def _supervised_params(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds) -> MAEParams:

@@ -91,7 +91,10 @@ def cubify(clip: VideoClip) -> CubeGrid:
     x = px.reshape(3, tp, CUBE_T, hp, CUBE_H, wp, CUBE_W)
     # token-major (t', h', w'), cube-internal (channel, time, row, col)
     x = x.transpose(1, 3, 5, 0, 2, 4, 6)
-    tokens = np.ascontiguousarray(x.reshape(tp * hp * wp, CUBE_WIDTH))
+    tokens = x.reshape(tp * hp * wp, CUBE_WIDTH)
+    # only a one-cube grid reshapes to a view; the tokens never alias the clip
+    if np.shares_memory(tokens, px):
+        tokens = tokens.copy()
     return CubeGrid(tokens, (tp, hp, wp))
 
 

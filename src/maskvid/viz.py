@@ -38,6 +38,5 @@ def mask_heatmap(mask: MaskMap, cell: int = 8) -> np.ndarray:
 def gray_masked_cubes(clip: VideoClip, mask: MaskMap, gray: float = 0.5) -> VideoClip:
     """Copy of the clip with every masked cube's pixels replaced by flat gray."""
     grid = cubify(clip)
-    grid.tokens = grid.tokens.copy()  # a one-cube clip's tokens are a view of its pixels
     grid.tokens[mask.masked_indices] = gray
     return decubify(grid)

@@ -295,6 +295,39 @@ def test_maskviz_text_mask_has_exact_counts(tmp_path):
     assert (vizdir / "mask_random_0.9.ppm").exists()
 
 
+@pytest.mark.parametrize("flags", [["--config", "x.cfg"], ["--set", "model.d_enc=16"]],
+                         ids=["config", "set"])
+def test_maskviz_takes_no_config_flags(tmp_path, flags):
+    res = run_cli(["maskviz", "--dims", "2,4", "--out", str(tmp_path / "viz"), *flags],
+                  tmp_path)
+    assert res.returncode == 1 and "unrecognized arguments" in res.stderr
+    assert not (tmp_path / "viz").exists()
+
+
+@pytest.mark.parametrize("flags", [["--config", "x.cfg"], ["--set", "model.d_enc=16"],
+                                   ["--seed", "1"], ["--out", "grads"]],
+                         ids=["config", "set", "seed", "out"])
+def test_gradcheck_takes_no_flags(tmp_path, flags):
+    # the argument error comes before the gradient suite runs
+    res = run_cli(["gradcheck", *flags], tmp_path)
+    assert res.returncode == 1 and "unrecognized arguments" in res.stderr
+    assert "max relative error" not in res.stdout
+
+
+def test_reconstruct_reads_only_data_keys(tmp_path):
+    ckpt = str(_pretrain(tmp_path) / "checkpoint.ckpt")
+    for key in ("model.d_enc=32", "train.seed=1"):
+        res = run_cli(["reconstruct", "--checkpoint", ckpt, "--out", str(tmp_path / "rec"),
+                       "--set", key], tmp_path)
+        assert res.returncode == 1, res.stderr + res.stdout
+        assert "event=config_error" in res.stdout and key.split("=")[0] in res.stdout
+        assert "Traceback" not in res.stderr
+    res = run_cli(["reconstruct", "--checkpoint", ckpt, "--out", str(tmp_path / "rec"),
+                   "--set", "data.seed=3", "--seed", "1"], tmp_path)
+    assert res.returncode == 0, res.stderr + res.stdout
+    assert len(os.listdir(tmp_path / "rec")) == 3 * 16
+
+
 def test_artifact_out_env_wins_over_flag(tmp_path):
     envdir = tmp_path / "envout"
     vizdir = tmp_path / "flagout"

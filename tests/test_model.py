@@ -6,11 +6,11 @@ import pytest
 from maskvid import tensor as tk
 from maskvid.errors import ConfigError
 from maskvid.masking import make_mask
-from maskvid.model import (ModelConfig, _even_split, _sincos_1d, classify, cube_embed,
-                           decode, encode, init_head_params, init_mae_params,
+from maskvid.model import (ModelConfig, _even_split, _sincos_1d, classify, clip_features,
+                           cube_embed, decode, encode, init_head_params, init_mae_params,
                            mae_forward, pos_embed_table, reconstruct, vit_base_config)
 from maskvid.tensor import Tensor
-from maskvid.video import VideoClip, cubify
+from maskvid.video import VideoClip, cubify, synth_moving_sprites
 
 
 def _clip(cfg, seed=0):
@@ -226,6 +226,24 @@ def test_classify_mean_pool_is_token_order_invariant_at_uniform_pos():
     pixels = np.full((3, 16, 64, 64), 0.5, dtype=np.float32)
     logits = classify([VideoClip(pixels), VideoClip(pixels)], params, head)
     np.testing.assert_allclose(logits.data[0], logits.data[1], atol=1e-6)
+
+
+def test_clip_features_do_not_depend_on_batch_composition():
+    # the probe trains its head on features encoded once per clip, so each
+    # clip's features must be the same bytes in any batch it is part of
+    cfg = ModelConfig(dims=(8, 5, 5))
+    params = init_mae_params(cfg, seed=0)
+    ds = synth_moving_sprites(0, 16, size=(16, 80, 80), sprite_extent=24, noise_level=0.0)
+    grids = np.stack([cubify(clip).tokens for clip, _ in ds])
+    alone = [clip_features(grids[i:i + 1], params).data[0].tobytes() for i in range(16)]
+    rng = np.random.default_rng(0)
+    for idx in (np.arange(16), rng.permutation(16), rng.choice(16, size=6)):
+        batch = clip_features(grids[idx], params).data
+        assert batch.shape == (len(idx), cfg.d_enc)
+        assert [row.tobytes() for row in batch] == [alone[i] for i in idx]
+    repeated = np.array([3, 3, 7, 3])
+    assert [row.tobytes() for row in clip_features(grids[repeated], params).data] == \
+        [alone[i] for i in repeated]
 
 
 def test_head_requires_at_least_two_classes():

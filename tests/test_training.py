@@ -7,13 +7,13 @@ from maskvid import tensor as tk
 from maskvid.errors import (CheckpointError, ConfigError, ContractError,
                             NumericError)
 from maskvid.masking import make_mask
-from maskvid.model import (ModelConfig, cube_embed, decode, encode, init_mae_params,
-                           mae_forward_batch)
+from maskvid.model import (ModelConfig, classify, cube_embed, decode, encode,
+                           init_head_params, init_mae_params, mae_forward_batch)
 from maskvid.tensor import Param, Tape, Tensor
-from maskvid.training import (Checkpoint, OptimState, TrainConfig, adamw_step,
-                              cosine_warmup_lr, finetune, layer_lr_scales,
-                              linear_probe, load_checkpoint, masked_mse_loss,
-                              params_from_checkpoint, pretrain,
+from maskvid.training import (Checkpoint, OptimState, TrainConfig, _eval_accuracy,
+                              _train_steps, adamw_step, cosine_warmup_lr, finetune,
+                              layer_lr_scales, linear_probe, load_checkpoint,
+                              masked_mse_loss, params_from_checkpoint, pretrain,
                               save_checkpoint, scaled_lr, snapshot_config,
                               write_loss_trace)
 from maskvid.video import cubify, normalize_cube_targets, synth_moving_sprites
@@ -360,6 +360,108 @@ def test_linear_probe_leaves_encoder_gradients_zero():
         assert not p.grad.any(), p.name
         assert p.value.requires_grad
     assert any(p.grad.any() for p in result.head.values())
+
+
+def _per_step_classify_run(params, train_ds, eval_ds, config, finetuning):
+    """Reference supervised loop without cached grids or features.
+
+    Every step cubifies and classifies its batch; a probe freezes the encoder
+    by switching off its parameters' requires_grad. Returns the trace, the
+    head and the eval accuracy.
+    """
+    encoder = params.encoder_params()
+    head = init_head_params(params.config, seed=config.seed)
+    trainable = (encoder if finetuning else []) + list(head.values())
+    labels = np.array([train_ds[i][1] for i in range(len(train_ds))])
+
+    def loss_of(idx):
+        logits = classify([train_ds[int(i)][0] for i in idx], params, head)
+        return tk.cross_entropy(logits, labels[idx])
+
+    scales = layer_lr_scales(params.config, config.layer_decay) if finetuning else None
+    for p in encoder:
+        p.value.requires_grad = finetuning
+    try:
+        trace, aborted = _train_steps(config, len(train_ds), np.random.default_rng(config.seed),
+                                      trainable, OptimState.for_params(trainable), loss_of,
+                                      lr_scales=scales)
+    finally:
+        for p in encoder:
+            p.value.requires_grad = True
+    assert not aborted
+    return trace, head, _eval_accuracy(params, head, eval_ds)
+
+
+def _bytes(params: dict) -> dict:
+    return {n: p.value.data.tobytes() for n, p in params.items()}
+
+
+_ACCEPTANCE_SPRITES = dict(size=(16, 80, 80), sprite_extent=24, noise_level=0.0)
+# (training clips, eval set): 3 clips at batch 4 draw with replacement, so a
+# batch repeats a clip; "held_out" evaluates on clips the head never saw
+_SUPERVISED_CASES = [(4, "train"), (3, "train"), (4, "held_out")]
+
+
+@pytest.fixture(scope="module")
+def acceptance_encoder():
+    """Briefly pretrained (8,5,5) encoder, so that clips' features differ."""
+    pre = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
+    cfg = TrainConfig(total_steps=6, base_lr=0.64, batch_size=4, seed=0)
+    return pretrain(cfg, pre, model_cfg=ModelConfig(dims=(8, 5, 5))).checkpoint
+
+
+def _supervised_case(n_train, eval_set):
+    labelled = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES).subset(range(n_train))
+    held_out = synth_moving_sprites(2, 8, **_ACCEPTANCE_SPRITES)
+    return labelled, labelled if eval_set == "train" else held_out
+
+
+@pytest.mark.parametrize("n_train,eval_set", _SUPERVISED_CASES)
+def test_linear_probe_is_bitwise_the_per_step_classify_probe(acceptance_encoder, n_train,
+                                                             eval_set):
+    train_ds, eval_ds = _supervised_case(n_train, eval_set)
+    cfg = TrainConfig(mode="probe", beta2=0.999, total_steps=8, base_lr=0.256,
+                      batch_size=4, weight_decay=0.0, seed=3)
+    params = params_from_checkpoint(acceptance_encoder)
+    trace, head, accuracy = _per_step_classify_run(params, train_ds, eval_ds, cfg,
+                                                   finetuning=False)
+    result = linear_probe(acceptance_encoder, train_ds, eval_ds, cfg)
+    assert result.trace == trace
+    assert _bytes(result.head) == _bytes(head)
+    assert result.accuracy == accuracy
+    assert _bytes(result.params.params) == _bytes(params.params)
+
+
+@pytest.mark.parametrize("n_train,eval_set", _SUPERVISED_CASES)
+def test_finetune_is_bitwise_the_per_step_cubify_finetune(acceptance_encoder, n_train,
+                                                          eval_set):
+    train_ds, eval_ds = _supervised_case(n_train, eval_set)
+    cfg = TrainConfig(mode="finetune", beta2=0.999, total_steps=6, base_lr=0.256,
+                      batch_size=4, weight_decay=0.0, seed=3)
+    params = params_from_checkpoint(acceptance_encoder)
+    trace, head, accuracy = _per_step_classify_run(params, train_ds, eval_ds, cfg,
+                                                   finetuning=True)
+    result = finetune(acceptance_encoder, train_ds, eval_ds, cfg)
+    assert result.trace == trace
+    assert _bytes(result.head) == _bytes(head)
+    assert result.accuracy == accuracy
+    assert _bytes(result.params.params) == _bytes(params.params)
+    assert _bytes(params.params) != _bytes(params_from_checkpoint(acceptance_encoder).params)
+
+
+@pytest.mark.parametrize("runner,entries", [(finetune, 55), (linear_probe, 3)],
+                         ids=["finetune", "linear_probe"])
+def test_supervised_steps_record_55_fine_tune_and_3_probe_tape_entries(monkeypatch, runner,
+                                                                       entries):
+    # a probe step runs only the head: layer norm, linear, cross-entropy
+    recorded = []
+    backward = Tape.backward
+    monkeypatch.setattr(Tape, "backward",
+                        lambda tape, loss: recorded.append(len(tape)) or backward(tape, loss))
+    params = init_mae_params(ModelConfig(dims=(8, 5, 5)), seed=0)
+    ds = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
+    runner(params, ds, ds, TrainConfig(mode="finetune", batch_size=4, total_steps=2, seed=0))
+    assert recorded == [entries, entries]
 
 
 def test_finetune_moves_encoder_weights():

@@ -38,6 +38,22 @@ def test_cubify_decubify_round_trip():
     np.testing.assert_array_equal(back.pixels, clip.pixels)
 
 
+def test_cubify_tokens_of_a_one_cube_clip_do_not_share_memory_with_its_pixels():
+    clip = VideoClip(_video(*clip_size((1, 1, 1))))
+    grid = cubify(clip)
+    assert not np.shares_memory(grid.tokens, clip.pixels)
+    np.testing.assert_array_equal(grid.tokens.reshape(clip.pixels.shape), clip.pixels)
+
+
+def test_cubify_tokens_are_the_transposed_reshape_byte_for_byte():
+    clip = VideoClip(_video(*clip_size((8, 5, 5))))
+    x = clip.pixels.reshape(3, 8, 2, 5, 16, 5, 16).transpose(1, 3, 5, 0, 2, 4, 6)
+    reference = np.ascontiguousarray(x.reshape(200, CUBE_WIDTH))
+    tokens = cubify(clip).tokens
+    assert tokens.flags.c_contiguous and tokens.dtype == reference.dtype
+    assert tokens.tobytes() == reference.tobytes()
+
+
 def test_cubify_single_cube_placement():
     # one hot pixel lands in exactly one token, at the flat position
     # channel-major within the cube
