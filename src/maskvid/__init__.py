@@ -4,9 +4,9 @@ from .errors import (CheckpointError, ConfigError, ContractError,
                      DimensionError, GenerationError, MaskvidError,
                      NumericError, SamplingError)
 from .masking import MaskMap, leakage_probe, make_mask
-from .model import (MAEOutput, MAEParams, ModelConfig, classify, cube_embed,
-                    decode, encode, init_head_params, init_mae_params,
-                    mae_forward, pos_embed_table, reconstruct, vit_base_config)
+from .model import (MAEParams, ModelConfig, classify, cube_embed, decode, encode,
+                    init_head_params, init_mae_params, mae_forward_batch,
+                    pos_embed_table, reconstruct, vit_base_config)
 from .tensor import Param, Tape, Tensor, attention_block, finite_diff_check
 from .training import (Checkpoint, OptimState, TrainConfig, adamw_step,
                        cosine_warmup_lr, finetune, linear_probe,

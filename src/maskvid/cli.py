@@ -175,7 +175,7 @@ def cmd_reconstruct(args) -> int:
     else:
         clip = _sprites_for(params.config, 4, data["seed"]).clips[0]
     dims = (params.config.dims[0], params.config.spatial_sites)
-    mask = make_mask(args.strategy, dims, args.ratio, np.random.default_rng(args.seed or 0))
+    mask = make_mask(args.strategy, dims, args.ratio, args.seed or 0)
     recon = reconstruct(clip, mask, params)
     masked_clip = gray_masked_cubes(clip, mask)
     t = clip.pixels.shape[1]
@@ -192,7 +192,7 @@ def cmd_maskviz(args) -> int:
     dims = tuple(int(x) for x in args.dims.split(","))
     if len(dims) != 2:
         raise ConfigError(f"--dims expects T',S — got {args.dims!r}")
-    mask = make_mask(args.strategy, dims, args.ratio, np.random.default_rng(args.seed or 0))
+    mask = make_mask(args.strategy, dims, args.ratio, args.seed or 0)
     text = mask_to_text(mask)
     base = f"mask_{args.strategy}_{args.ratio}"
     with open(os.path.join(out, base + ".txt"), "w") as fh:

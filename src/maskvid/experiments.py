@@ -11,7 +11,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,10 +21,6 @@ from .masking import make_mask, leakage_probe
 from .model import ModelConfig
 from .training import TrainConfig, _has_type, finetune, pretrain, params_from_checkpoint
 from .video import clip_size, synth_moving_sprites
-
-REPORT_FIELDS = ("axis", "value", "seed", "accuracy", "final_pretrain_loss",
-                 "leakage", "visible_tokens", "wall_seconds")
-
 
 @dataclass
 class AblationSpec:
@@ -70,6 +66,9 @@ class ReportRow:
 
     def as_record(self) -> dict:
         return {f: getattr(self, f) for f in REPORT_FIELDS}
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(ReportRow))
 
 
 def _sprites(spec: AblationSpec, seed: int, count: int):

@@ -11,10 +11,10 @@ import numpy as np
 
 from . import tensor as tk
 from .masking import make_mask
-from .model import ModelConfig, init_mae_params, init_head_params, mae_forward, classify
+from .model import ModelConfig, init_mae_params, init_head_params, mae_forward_batch, classify
 from .tensor import Param, Tensor, finite_diff_check
 from .training import masked_mse_loss
-from .video import VideoClip, clip_size
+from .video import VideoClip, clip_size, cubify, normalize_cube_targets
 
 
 def _param(rng, shape, name) -> Param:
@@ -128,12 +128,12 @@ def mae_forward_check(samples_per_param: int = 4, seed: int = 0,
     cfg = config or ModelConfig(depth_enc=2, depth_dec=2)
     rng = np.random.default_rng(seed)
     params = _generic_mae_params(cfg, rng)
-    clip = VideoClip(rng.random((3, *clip_size(cfg.dims))))
+    grid = cubify(VideoClip(rng.random((3, *clip_size(cfg.dims)))))
     mask = make_mask("tube", (cfg.dims[0], cfg.spatial_sites), 0.9, rng)
 
     def f():
-        out = mae_forward(clip, mask, params)
-        return masked_mse_loss(out.predictions, out.targets, mask)
+        pred = mae_forward_batch(grid.tokens[None], mask.visible_indices[None], params)
+        return masked_mse_loss(pred, normalize_cube_targets(grid).values[None], [mask])
 
     return finite_diff_check(f, params.values(), samples_per_param=samples_per_param,
                              seed=seed)
@@ -160,7 +160,7 @@ def classify_check(samples_per_param: int = 4, seed: int = 0) -> float:
 
 def run_gradient_suite(verbose: bool = False, seed: int = 0) -> float:
     """Max relative error across primitives, the MAE forward, and classify."""
-    checks = {**primitive_checks(seed), "mae_forward": mae_forward_check(seed=seed),
+    checks = {**primitive_checks(seed), "mae_forward_batch": mae_forward_check(seed=seed),
               "classify": classify_check(seed=seed)}
     worst = 0.0
     for name, err in checks.items():

@@ -26,6 +26,8 @@ def _round_half_up(x: float) -> int:
 def _rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
+    if isinstance(seed_or_rng, int) and seed_or_rng < 0:
+        raise ConfigError(f"mask seed must be >= 0, got {seed_or_rng}")
     return np.random.default_rng(seed_or_rng)
 
 

@@ -17,7 +17,7 @@ from . import tensor as tk
 from .errors import ConfigError, ContractError, DimensionError
 from .masking import MaskMap
 from .tensor import Param, Tensor
-from .video import (CUBE_WIDTH, CubeGrid, TargetCubes, VideoClip, cubify, decubify,
+from .video import (CUBE_WIDTH, CubeGrid, VideoClip, cubify, decubify,
                     normalize_cube_targets)
 
 
@@ -109,9 +109,6 @@ class MAEParams:
     def __getitem__(self, name: str) -> Param:
         return self.params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.params
-
     def values(self):
         return self.params.values()
 
@@ -177,10 +174,6 @@ def cube_embed(tokens: Tensor, params: MAEParams, rows: np.ndarray | None = None
     tokens is the whole grid, or the grid rows `rows` (tokens.shape[:-1]) of
     it; the bias gradient is then summed in grid order (tk.linear).
     """
-    if tokens.shape[-1] != params["embed/w"].value.shape[0]:
-        raise DimensionError(
-            f"cube width {tokens.shape[-1]} != embedding input {params['embed/w'].value.shape[0]}"
-        )
     return tk.linear(tokens, params["embed/w"].value, params["embed/b"].value, rows)
 
 
@@ -213,38 +206,35 @@ def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
     return tk.linear(x, params["out/w"].value, params["out/b"].value, rows)
 
 
-@dataclass
-class MAEOutput:
-    predictions: Tensor       # (T'*S, 1536), rows aligned with the token grid
-    masked_indices: np.ndarray
-    targets: TargetCubes
-
-
-def mae_forward(clip: VideoClip, mask: MaskMap, params: MAEParams) -> MAEOutput:
-    """One clip through mae_forward_batch as a batch of one."""
-    grid = cubify(clip)
-    cfg = params.config
-    if grid.dims != cfg.dims:
-        raise DimensionError(f"clip grid {grid.dims} != model grid {cfg.dims}")
-    if mask.dims != (cfg.dims[0], cfg.spatial_sites):
-        raise DimensionError(f"mask dims {mask.dims} != grid {(cfg.dims[0], cfg.spatial_sites)}")
-    tokens = grid.tokens[None].astype(params.pos_enc.dtype)
-    pred = mae_forward_batch(tokens, mask.visible_indices[None], params)
-    pred = tk.reshape(pred, (cfg.n_tokens, CUBE_WIDTH))
-    return MAEOutput(pred, mask.masked_indices, normalize_cube_targets(grid))
-
-
 def reconstruct(clip: VideoClip, mask: MaskMap, params: MAEParams) -> VideoClip:
     """The clip with predicted pixels in its masked cubes, clipped to [0, 1].
 
     Visible cubes keep the input's pixels; predictions are mapped back to
     pixels with each cube's own target statistics.
     """
-    output = mae_forward(clip, mask, params)
-    pixels = output.targets.denormalize(output.predictions.data)
+    grid = cubify(clip)
+    cfg = params.config
+    if grid.dims != cfg.dims:
+        raise DimensionError(f"clip grid {grid.dims} != model grid {cfg.dims}")
+    if mask.dims != (cfg.dims[0], cfg.spatial_sites):
+        raise DimensionError(f"mask dims {mask.dims} != grid {(cfg.dims[0], cfg.spatial_sites)}")
     keep = mask.visible_indices
-    pixels[keep] = cubify(clip).tokens[keep]
-    return decubify(CubeGrid(np.clip(pixels, 0.0, 1.0).astype(np.float32), params.config.dims))
+    pred = mae_forward_batch(grid.tokens[None].astype(params.pos_enc.dtype), keep[None], params)
+    pixels = normalize_cube_targets(grid).denormalize(pred.data[0])
+    pixels[keep] = grid.tokens[keep]
+    return decubify(CubeGrid(np.clip(pixels, 0.0, 1.0).astype(np.float32), cfg.dims))
+
+
+def _check_batch(grids: np.ndarray, params: MAEParams, **indices):
+    """grids must be (B, N, 1536) over the model's N tokens, each index array (B, K) rows of N."""
+    n = params.config.n_tokens
+    if grids.ndim != 3 or grids.shape[1:] != (n, CUBE_WIDTH):
+        raise DimensionError(f"grids {grids.shape} are not (B, {n}, {CUBE_WIDTH}) "
+                             f"for model grid {params.config.dims}")
+    for name, idx in indices.items():
+        if idx is not None and (idx.ndim != 2 or len(idx) != len(grids)
+                                or (idx.size and not 0 <= idx.min() <= idx.max() < n)):
+            raise DimensionError(f"{name} {idx.shape} must be ({len(grids)}, K) rows in [0, {n})")
 
 
 def mae_forward_batch(grids: np.ndarray, visible_indices: np.ndarray,
@@ -253,8 +243,10 @@ def mae_forward_batch(grids: np.ndarray, visible_indices: np.ndarray,
 
     grids is (B, N, 1536), visible_indices (B, N_vis). Returns the pixel
     predictions of every grid row, (B, N, 1536), or of the grid rows `rows`
-    (B, K) only, (B, K, 1536).
+    (B, K) only, (B, K, 1536). Raises DimensionError on any other geometry
+    or on an index outside the grid.
     """
+    _check_batch(grids, params, visible_indices=visible_indices, rows=rows)
     tokens = tk.gather_rows(Tensor(grids), visible_indices)
     embedded = tk.add(cube_embed(tokens, params, visible_indices),
                       Tensor(params.pos_enc[visible_indices]))
@@ -270,8 +262,10 @@ def _stack_grids(clips, params: MAEParams) -> np.ndarray:
 def clip_features(grids: np.ndarray, params: MAEParams) -> Tensor:
     """Embed every cube of (B, N, 1536) grids, add positions, encode, mean-pool: (B, d_enc).
 
-    A clip's features do not depend on the other clips in its batch.
+    A clip's features do not depend on the other clips in its batch. Raises
+    DimensionError on grids of any other geometry.
     """
+    _check_batch(grids, params)
     embedded = tk.add(cube_embed(Tensor(grids), params), Tensor(params.pos_enc))
     return tk.mean_axis(encode(embedded, params), axis=-2)
 

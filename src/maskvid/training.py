@@ -16,10 +16,10 @@ from . import tensor as tk
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .masking import MaskMap, make_mask
 from .model import (MAEParams, ModelConfig, _head_layout, _param_layout, _stack_grids,
-                    classify, clip_features, head_logits, init_head_params, init_mae_params,
+                    clip_features, head_logits, init_head_params, init_mae_params,
                     mae_forward_batch)
 from .tensor import Param, Tape, Tensor
-from .video import TargetCubes, VideoClip, cubify, normalize_cube_targets
+from .video import VideoClip, cubify, normalize_cube_targets
 
 
 @dataclass
@@ -82,11 +82,10 @@ def masked_mse_loss(pred: Tensor, targets, mask) -> Tensor:
     """Mean squared error over masked tokens only, averaged per pixel entry.
 
     pred is (N, C) with one MaskMap, or (B, N, C) with a list of B masks;
-    targets supplies the normalized cube values; visible tokens contribute
-    nothing. Pretraining computes the same loss without the visible rows:
-    it decodes only the masked rows and scores them with tk.mse.
+    targets is an array of normalized cube values, shaped as pred; visible
+    tokens contribute nothing. Pretraining computes the same loss without the
+    visible rows: it decodes only the masked rows and scores them with tk.mse.
     """
-    values = targets.values if isinstance(targets, TargetCubes) else np.asarray(targets)
     masks = [mask] if isinstance(mask, MaskMap) else mask
     lead = pred.shape[:-1]
     if (len(masks) != math.prod(lead[:-1]) or any(m.mask.size != lead[-1] for m in masks)
@@ -94,7 +93,7 @@ def masked_mse_loss(pred: Tensor, targets, mask) -> Tensor:
         raise ContractError(
             f"pred {pred.shape} vs {len(masks)} masks (each over {lead[-1]} rows, equally many hidden)")
     rows = np.stack([m.masked_indices for m in masks]).reshape(lead[:-1] + (-1,))
-    return tk.mse(tk.gather_rows(pred, rows), tk.gather_rows(Tensor(values), rows).data)
+    return tk.mse(tk.gather_rows(pred, rows), tk.gather_rows(Tensor(targets), rows).data)
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -528,14 +527,23 @@ class EvalResult:
 _EVAL_BATCH = 16  # clips per forward-only encoder pass
 
 
-def _eval_accuracy(params: MAEParams, head: dict[str, Param], dataset) -> float:
-    correct = 0
-    for i in range(0, len(dataset), _EVAL_BATCH):
-        clips = [dataset[j][0] for j in range(i, min(i + _EVAL_BATCH, len(dataset)))]
-        labels = [dataset[j][1] for j in range(i, min(i + _EVAL_BATCH, len(dataset)))]
-        logits = classify(clips, params, head)
-        correct += int((logits.data.argmax(axis=-1) == np.asarray(labels)).sum())
-    return correct / len(dataset)
+def _features(grids: np.ndarray, params: MAEParams) -> np.ndarray:
+    """clip_features of (B, N, 1536) grids as one array, _EVAL_BATCH clips per pass."""
+    return np.concatenate([clip_features(grids[i:i + _EVAL_BATCH], params).data
+                           for i in range(0, len(grids), _EVAL_BATCH)])
+
+
+def _eval_accuracy(head: dict[str, Param], features: np.ndarray, labels: np.ndarray) -> float:
+    """Share of clips whose head_logits argmax is their label, _EVAL_BATCH clips per pass."""
+    logits = np.concatenate([head_logits(Tensor(features[i:i + _EVAL_BATCH]), head).data
+                             for i in range(0, len(features), _EVAL_BATCH)])
+    return int((logits.argmax(axis=-1) == labels).sum()) / len(labels)
+
+
+def _grids_and_labels(dataset, params: MAEParams) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset's stacked cube grids, in the parameters' dtype, and its labels."""
+    grids = _stack_grids([dataset[i][0] for i in range(len(dataset))], params)
+    return grids, np.array([dataset[i][1] for i in range(len(dataset))])
 
 
 def _supervised_loop(params: MAEParams, train_ds, eval_ds, config: TrainConfig,
@@ -545,26 +553,28 @@ def _supervised_loop(params: MAEParams, train_ds, eval_ds, config: TrainConfig,
     The training clips are cubified once. Without trainable encoder
     parameters (the probe), each clip is also encoded once, outside any tape,
     and every step runs only the head on the cached features: a clip's
-    features do not depend on the other clips in its batch.
+    features do not depend on the other clips in its batch. An eval set that
+    is the training set itself reuses its grids, and the probe's features.
     """
     head = init_head_params(params.config, seed=config.seed)
     all_trainable = list(trainable) + list(head.values())
-    n = len(train_ds)
-    labels_all = np.array([train_ds[i][1] for i in range(n)])
-    grids = _stack_grids([train_ds[i][0] for i in range(n)], params)
+    grids, labels = _grids_and_labels(train_ds, params)
     if not trainable:
-        pooled = np.concatenate([clip_features(grids[i:i + _EVAL_BATCH], params).data
-                                 for i in range(0, n, _EVAL_BATCH)])
+        pooled = _features(grids, params)
 
     def loss_of(idx):
         features = clip_features(grids[idx], params) if trainable else Tensor(pooled[idx])
-        return tk.cross_entropy(head_logits(features, head), labels_all[idx])
+        return tk.cross_entropy(head_logits(features, head), labels[idx])
 
-    trace, aborted = _train_steps(config, n, np.random.default_rng(config.seed), all_trainable,
-                                  OptimState.for_params(all_trainable), loss_of,
+    trace, aborted = _train_steps(config, len(train_ds), np.random.default_rng(config.seed),
+                                  all_trainable, OptimState.for_params(all_trainable), loss_of,
                                   lr_scales=lr_scales)
-    acc = float("nan") if aborted else _eval_accuracy(params, head, eval_ds)
-    return EvalResult(acc, params, head, trace, aborted)
+    if aborted:
+        return EvalResult(float("nan"), params, head, trace, aborted)
+    same = eval_ds is train_ds
+    eval_grids, eval_labels = (grids, labels) if same else _grids_and_labels(eval_ds, params)
+    features = pooled if same and not trainable else _features(eval_grids, params)
+    return EvalResult(_eval_accuracy(head, features, eval_labels), params, head, trace)
 
 
 def finetune(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds,
@@ -588,16 +598,16 @@ def linear_probe(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds,
 
 
 def _supervised_params(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds) -> MAEParams:
-    """The parameters to train, checked against the training clips' grid."""
+    """The parameters to train, checked against every training and eval clip's grid."""
     if len(train_ds) == 0 or len(eval_ds) == 0:
         raise ContractError("fine-tuning and probing need nonempty training and eval sets")
     params = (params_from_checkpoint(checkpoint)
               if isinstance(checkpoint, Checkpoint) else checkpoint)
-    clip = train_ds[0][0]
-    if clip.grid_dims != params.config.dims:
-        raise ConfigError(
-            f"dataset grid {clip.grid_dims} != checkpoint grid {params.config.dims}"
-        )
+    for name, ds in (("training", train_ds), ("eval", eval_ds)):
+        for i in range(len(ds)):
+            if ds[i][0].grid_dims != params.config.dims:
+                raise ConfigError(f"{name} clip {i} has grid {ds[i][0].grid_dims}, "
+                                  f"the checkpoint {params.config.dims}")
     top = max(train_ds[i][1] for i in range(len(train_ds)))
     if top >= params.config.num_classes:
         raise ConfigError(f"training label {top} needs model.num_classes > {top}, "

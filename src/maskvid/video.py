@@ -63,14 +63,6 @@ class CubeGrid:
                 f"token matrix {self.tokens.shape} inconsistent with dims {self.dims}"
             )
 
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def spatial_sites(self) -> int:
-        return self.dims[1] * self.dims[2]
-
 
 @dataclass
 class TargetCubes:

@@ -14,14 +14,14 @@ import pytest
 
 from maskvid.gradsuite import run_gradient_suite
 from maskvid.masking import leakage_probe, make_mask
-from maskvid.model import ModelConfig, init_mae_params, mae_forward, vit_base_config
+from maskvid.model import ModelConfig, init_mae_params, mae_forward_batch, vit_base_config
 from maskvid.tensor import Param, Tensor
 from maskvid.training import (OptimState, TrainConfig, adamw_step,
                               cosine_warmup_lr, finetune, load_checkpoint,
                               masked_mse_loss, params_from_checkpoint,
                               pretrain, save_checkpoint, scaled_lr)
 from maskvid.video import (CubeGrid, VideoClip, cubify, decubify,
-                           synth_moving_sprites)
+                           normalize_cube_targets, synth_moving_sprites)
 
 
 # 1. Gradient suite ------------------------------------------------------------
@@ -83,9 +83,9 @@ def test_reference_geometry_shapes():
 
     rng = np.random.default_rng(0)
     clip = VideoClip(rng.random((3, 16, 224, 224), dtype=np.float32))
-    out = mae_forward(clip, mask, params)
-    assert out.predictions.shape == (1568, 1536)  # decoder runs over all tokens
-    recon = decubify(CubeGrid(out.predictions.data, cfg.dims))
+    out = mae_forward_batch(cubify(clip).tokens[None], mask.visible_indices[None], params)
+    assert out.shape == (1, 1568, 1536)  # decoder runs over all tokens
+    recon = decubify(CubeGrid(out.data[0], cfg.dims))
     assert recon.pixels.shape == (3, 16, 224, 224)
 
 
@@ -131,11 +131,12 @@ def test_single_clip_memorization_and_reconstruction():
 
     params = params_from_checkpoint(result.checkpoint)
     mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
-    out = mae_forward(clip, mask, params)
-    pixels = out.targets.denormalize(out.predictions.data)
-    truth = cubify(clip).tokens
-    mae = float(np.abs(pixels[out.masked_indices] -
-                       truth[out.masked_indices]).mean())
+    grid = cubify(clip)
+    out = mae_forward_batch(grid.tokens[None], mask.visible_indices[None], params)
+    pixels = normalize_cube_targets(grid).denormalize(out.data[0])
+    truth = grid.tokens
+    mae = float(np.abs(pixels[mask.masked_indices] -
+                       truth[mask.masked_indices]).mean())
     assert mae < 0.1, f"masked-region reconstruction MAE {mae:.4f}"
 
 

@@ -444,6 +444,13 @@ def argv_bases(tmp_path_factory):
         yield {cmd: [cmd, *base, "--out", str(root / cmd)] for cmd, base in bases.items()}
 
 
+@pytest.mark.parametrize("command", ["reconstruct", "maskviz"])
+def test_negative_mask_seed_exits_one_without_traceback(argv_bases, capsys, command):
+    assert cli.run(argv_bases[command] + ["--seed", "-1"]) == 1
+    out = capsys.readouterr().out
+    assert "event=config_error" in out and "mask seed must be >= 0, got -1" in out
+
+
 @pytest.mark.parametrize("command", ["pretrain", "finetune", "probe", "reconstruct",
                                      "maskviz", "ablate"])
 @settings(max_examples=400, deadline=None)

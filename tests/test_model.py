@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from maskvid import tensor as tk
-from maskvid.errors import ConfigError
+from maskvid.errors import ConfigError, DimensionError
 from maskvid.masking import make_mask
 from maskvid.model import (ModelConfig, _even_split, _sincos_1d, classify, clip_features,
                            cube_embed, decode, encode, init_head_params, init_mae_params,
-                           mae_forward, pos_embed_table, reconstruct, vit_base_config)
+                           mae_forward_batch, pos_embed_table, reconstruct, vit_base_config)
 from maskvid.tensor import Tensor
 from maskvid.video import VideoClip, cubify, synth_moving_sprites
 
@@ -106,9 +106,10 @@ def test_desk_forward_shapes():
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
     mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
-    out = mae_forward(clip, mask, params)
-    assert out.predictions.shape == (128, 1536)
-    assert out.targets.values.shape == (128, 1536)
+    out = mae_forward_batch(cubify(clip).tokens[None], mask.visible_indices[None], params)
+    assert out.shape == (1, 128, 1536)
+    assert mae_forward_batch(cubify(clip).tokens[None], mask.visible_indices[None], params,
+                             mask.masked_indices[None]).shape == (1, 112, 1536)
     # rho=0.9 on 16 sites: round(14.4)=14 masked -> 2 visible sites, 16 tokens
     assert mask.n_visible == 16
 
@@ -170,19 +171,15 @@ def test_decode_places_visible_and_mask_tokens_correctly():
 
 
 def test_mae_forward_batch_matches_single(tmp_path):
-    from maskvid.model import mae_forward_batch
     cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
     grid = cubify(clip)
     mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
 
-    single = mae_forward(clip, mask, params)
     batched = mae_forward_batch(
         grid.tokens[None].repeat(2, axis=0),
         mask.visible_indices[None].repeat(2, axis=0), params)
-    np.testing.assert_allclose(batched.data[0], single.predictions.data,
-                               atol=1e-4)
     np.testing.assert_allclose(batched.data[0], batched.data[1], atol=1e-6)
 
 
@@ -191,17 +188,41 @@ def test_zero_mask_ratio_runs_end_to_end():
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
     mask = make_mask("random", (8, 16), 0.3, 0)
-    out = mae_forward(clip, mask, params)
-    assert out.predictions.shape == (128, 1536)
+    out = mae_forward_batch(cubify(clip).tokens[None], mask.visible_indices[None], params)
+    assert out.shape == (1, 128, 1536)
 
 
 def test_mae_forward_rejects_geometry_mismatch():
     cfg = ModelConfig()
     params = init_mae_params(cfg, seed=0)
     clip = _clip(cfg)
-    mask = make_mask("tube", (4, 16), 0.9, np.random.default_rng(0))  # wrong T'
-    with pytest.raises(Exception):
-        mae_forward(clip, mask, params)
+    tokens = cubify(clip).tokens[None]
+    mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
+    visible, masked = mask.visible_indices[None], mask.masked_indices[None]
+    short = make_mask("tube", (4, 16), 0.9, np.random.default_rng(0))  # wrong T'
+    with pytest.raises(DimensionError, match="mask dims"):
+        reconstruct(clip, short, params)
+    # a transposed grid has the model's token count and mask dims
+    transposed = make_mask("tube", (8, 20), 0.9, np.random.default_rng(0))
+    with pytest.raises(DimensionError, match="clip grid"):
+        reconstruct(_clip(ModelConfig(dims=(8, 4, 5))), transposed,
+                    init_mae_params(ModelConfig(dims=(8, 5, 4)), seed=0))
+    bad_visible = visible.copy()
+    bad_visible[0, -1] = cfg.n_tokens
+    bad_rows = masked.copy()
+    bad_rows[0, 0] = -1
+    with pytest.raises(DimensionError, match="grids"):
+        mae_forward_batch(tokens[:, :64], visible, params)  # a grid of half the tokens
+    with pytest.raises(DimensionError, match="grids"):
+        mae_forward_batch(tokens[0], visible, params)
+    with pytest.raises(DimensionError, match="visible_indices"):
+        mae_forward_batch(tokens, bad_visible, params)
+    with pytest.raises(DimensionError, match="visible_indices"):
+        mae_forward_batch(tokens, visible[0], params)
+    with pytest.raises(DimensionError, match="rows"):
+        mae_forward_batch(tokens, visible, params, bad_rows)
+    with pytest.raises(DimensionError, match="grids"):
+        clip_features(tokens[:, :, :768], params)
 
 
 # -- classification head ------------------------------------------------------

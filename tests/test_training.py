@@ -10,7 +10,7 @@ from maskvid.masking import make_mask
 from maskvid.model import (ModelConfig, classify, cube_embed, decode, encode,
                            init_head_params, init_mae_params, mae_forward_batch)
 from maskvid.tensor import Param, Tape, Tensor
-from maskvid.training import (Checkpoint, OptimState, TrainConfig, _eval_accuracy,
+from maskvid.training import (_EVAL_BATCH, Checkpoint, OptimState, TrainConfig,
                               _train_steps, adamw_step, cosine_warmup_lr, finetune,
                               layer_lr_scales, linear_probe, load_checkpoint,
                               masked_mse_loss, params_from_checkpoint, pretrain,
@@ -366,8 +366,9 @@ def _per_step_classify_run(params, train_ds, eval_ds, config, finetuning):
     """Reference supervised loop without cached grids or features.
 
     Every step cubifies and classifies its batch; a probe freezes the encoder
-    by switching off its parameters' requires_grad. Returns the trace, the
-    head and the eval accuracy.
+    by switching off its parameters' requires_grad. Eval classifies the eval
+    clips _EVAL_BATCH at a time. Returns the trace, the head and the eval
+    accuracy.
     """
     encoder = params.encoder_params()
     head = init_head_params(params.config, seed=config.seed)
@@ -389,7 +390,11 @@ def _per_step_classify_run(params, train_ds, eval_ds, config, finetuning):
         for p in encoder:
             p.value.requires_grad = True
     assert not aborted
-    return trace, head, _eval_accuracy(params, head, eval_ds)
+    clips = [eval_ds[i][0] for i in range(len(eval_ds))]
+    logits = np.concatenate([classify(clips[i:i + _EVAL_BATCH], params, head).data
+                             for i in range(0, len(clips), _EVAL_BATCH)])
+    correct = int((logits.argmax(axis=-1) == [eval_ds[i][1] for i in range(len(eval_ds))]).sum())
+    return trace, head, correct / len(eval_ds)
 
 
 def _bytes(params: dict) -> dict:
@@ -462,6 +467,48 @@ def test_supervised_steps_record_55_fine_tune_and_3_probe_tape_entries(monkeypat
     ds = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
     runner(params, ds, ds, TrainConfig(mode="finetune", batch_size=4, total_steps=2, seed=0))
     assert recorded == [entries, entries]
+
+
+@pytest.mark.parametrize("runner,patched", [(finetune, "cubify"), (linear_probe, "encode")],
+                         ids=["finetune_cubify", "linear_probe_encode"])
+def test_eval_on_the_training_set_reuses_its_grids_and_probe_features(monkeypatch, runner,
+                                                                      patched):
+    # fine-tuning cubifies each clip once; the probe's frozen encoder also
+    # encodes each clip once, for training and eval alike
+    from maskvid import model
+    calls = []
+    original = getattr(model, patched)
+
+    def counted(x, *args):
+        calls.append(1 if patched == "cubify" else x.shape[0])
+        return original(x, *args)
+
+    monkeypatch.setattr(model, patched, counted)
+    params = init_mae_params(_tiny_cfg_64(), seed=0)
+    ds = synth_moving_sprites(seed=0, count=8, noise_level=0.0)
+    result = runner(params, ds, ds, TrainConfig(mode="finetune", batch_size=2, total_steps=2,
+                                                seed=0))
+    assert not result.aborted
+    assert sum(calls) == len(ds)
+
+
+@pytest.mark.parametrize("runner", [finetune, linear_probe], ids=["finetune", "linear_probe"])
+def test_supervised_runs_reject_an_eval_clip_of_another_grid_before_training(monkeypatch,
+                                                                           runner):
+    steps = []
+    monkeypatch.setattr(Tape, "backward", lambda tape, loss: steps.append(1))
+    params = init_mae_params(ModelConfig(dims=(8, 5, 5)), seed=0)
+    train_ds = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
+    eval_ds = synth_moving_sprites(2, 4)  # (8, 4, 4) clips
+    cfg = TrainConfig(mode="finetune", batch_size=2, total_steps=2, seed=0)
+    with pytest.raises(ConfigError, match="eval clip 0"):
+        runner(params, train_ds, eval_ds, cfg)
+    mixed = train_ds.subset([0, 1, 2])
+    mixed.clips.append(eval_ds.clips[0])
+    mixed.labels.append(0)
+    with pytest.raises(ConfigError, match="training clip 3"):
+        runner(params, mixed, train_ds, cfg)
+    assert steps == []
 
 
 def test_finetune_moves_encoder_weights():

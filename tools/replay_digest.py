@@ -12,7 +12,9 @@ The replay covers:
   0.9 and frame 0.875: loss trace, all parameters, both AdamW moments;
 - a 40-step fine-tune and a 40-step linear probe from the saved and reloaded
   tube checkpoint, on 4 labelled clips and again on 3 of them (batch 4, so
-  batches repeat clips): traces, accuracies, encoder parameters and head;
+  batches repeat clips), and on the 4 clips evaluated on themselves, the
+  transfer benchmark's call shape: traces, accuracies, encoder parameters and
+  head;
 - `maskvid reconstruct` from that checkpoint: every PPM file it writes;
 - make_mask over seeds 0-999 at (8,25) and (8,196) for each strategy;
 - pos_embed_table at (8,4,4) and (8,14,14) for the encoder and decoder widths;
@@ -83,12 +85,15 @@ def replay_training(workdir: str) -> str:
 
     train_ds = synth_moving_sprites(1, 4, **SPRITES)
     eval_ds = synth_moving_sprites(2, 16, **SPRITES)
-    # 3 training clips at batch 4 draw with replacement, so a batch repeats a clip
-    for suffix, labelled in (("", train_ds), ("_3clips", train_ds.subset([0, 1, 2]))):
+    # 3 training clips at batch 4 draw with replacement, so a batch repeats a
+    # clip; "_evaltrain" passes the training set itself as the eval set
+    for suffix, labelled, evaluated in (("", train_ds, eval_ds),
+                                        ("_3clips", train_ds.subset([0, 1, 2]), eval_ds),
+                                        ("_evaltrain", train_ds, train_ds)):
         for mode, runner in (("finetune", finetune), ("probe", linear_probe)):
             cfg = TrainConfig(mode=mode, beta2=0.999, total_steps=40, base_lr=0.256,
                               batch_size=4, weight_decay=0.0, seed=0)
-            result = runner(load_checkpoint(tube_path), labelled, eval_ds, cfg)
+            result = runner(load_checkpoint(tube_path), labelled, evaluated, cfg)
             name = mode + suffix
             emit(f"{name}/trace", digest(result.trace))
             emit(f"{name}/accuracy", digest(result.accuracy))
