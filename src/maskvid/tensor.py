@@ -9,6 +9,8 @@ checking only.
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -238,12 +240,55 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -
     return _record(Tensor(out), (x, w, b), bwd)
 
 
+# Score entries (heads x N x N per clip) each half of a split attention call
+# must hold for the worker thread to pay for its handoff. Measured in situ on
+# 2 cores: halves of 160,000 or fewer made fine-tune steps slower, halves of
+# 204,800 or more made them faster.
+_SPLIT_FLOOR = 200_000
+_POOL: Optional[futures.ThreadPoolExecutor] = None
+
+
+def _forget_pool():  # a forked child has the pool but not its thread
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _by_clips(fn: Callable, clips: int, per_clip: int):
+    """fn(...) here, or fn(slice(0, mid)) here while the worker thread runs
+    fn(slice(mid, clips)), when the process may use two cores and each half
+    holds at least _SPLIT_FLOOR units of per_clip work.
+
+    fn must call only numpy on array slices (which releases the GIL), never
+    maskvid or the tape, and write each clip into its own slice of outputs
+    allocated up front.
+    """
+    global _POOL
+    mid = (clips + 1) // 2
+    if clips < 2 or (clips - mid) * per_clip < _SPLIT_FLOOR:
+        return fn(...)
+    if _POOL is None:
+        if len(os.sched_getaffinity(0)) < 2:
+            return fn(...)
+        _POOL = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="maskvid")
+    upper = _POOL.submit(fn, slice(mid, clips))
+    try:
+        fn(slice(0, mid))
+    finally:
+        futures.wait([upper])  # if this half raised, the worker is still writing
+    upper.result()
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(dh)) v over (..., N, D) inputs.
 
     Each of q, k, v is split into `heads` slices of width dh = D/heads, every
     query attends to every key of its head, and the heads' outputs are
     concatenated back to (..., N, D). The softmax is kept for the backward.
+    A clip (index along the first axis) never reads another clip's data, so
+    large batches run half their clips on a second core (_by_clips).
     """
     if not q.shape == k.shape == v.shape:
         raise DimensionError(f"attention needs equal q, k, v shapes, got {q.shape}, {k.shape}, {v.shape}")
@@ -251,6 +296,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     if d % heads != 0:
         raise ConfigError(f"token width {d} is not divisible by heads {heads}")
     c = 1.0 / math.sqrt(d / heads)
+    clips = lead[0] if lead else 1
+    per_clip = math.prod(lead[1:]) * heads * n * n
 
     def split(a):  # (..., N, D) -> (..., heads, N, dh), a view
         return np.swapaxes(a.reshape(lead + (n, heads, d // heads)), -3, -2)
@@ -259,20 +306,48 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return np.swapaxes(a, -3, -2).reshape(lead + (n, d))
 
     q4, k4, v4 = split(q.data), split(k.data), split(v.data)
-    scores = np.matmul(q4, np.swapaxes(k4, -1, -2)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = np.empty(lead + (heads, n, n), np.result_type(q.data, k.data))
+    out = np.empty(lead + (n, d), np.result_type(s, v.data))
+    out4 = split(out)
+
+    def forward(ix):  # an in-place softmax, op for op the out-of-place one
+        si = s[ix]
+        np.matmul(q4[ix], np.swapaxes(k4[ix], -1, -2), out=si)
+        si *= c
+        si -= si.max(axis=-1, keepdims=True)
+        np.exp(si, out=si)
+        si /= si.sum(axis=-1, keepdims=True)
+        np.matmul(si, v4[ix], out=out4[ix])
+
+    _by_clips(forward, clips, per_clip)
 
     def bwd(g):
         g4 = split(g)
-        gs = np.matmul(g4, np.swapaxes(v4, -1, -2))
-        gv = np.matmul(np.swapaxes(s, -1, -2), g4)
-        gsc = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * c
-        gq = np.matmul(gsc, k4)
-        gk = np.swapaxes(np.matmul(np.swapaxes(q4, -1, -2), gsc), -1, -2)
-        return merge(gq), merge(gk), merge(gv)
+        t = np.result_type(s, g, v.data)  # of the score gradients
+        gq = np.empty(lead + (n, d), np.result_type(t, k.data))
+        gv = np.empty(lead + (n, d), np.result_type(s, g))
+        # k's gradient stays a transposed view of matmul(q4^T, gsc)'s
+        # (..., heads, dh, N) layout: its consumers sum it in memory order
+        gk = np.empty(lead + (heads, d // heads, n), np.result_type(q.data, t))
+        gq4, gv4 = split(gq), split(gv)
+        # scratch allocated here: a worker that allocates its own large arrays
+        # makes this thread page-fault afresh after each split
+        gs, prod = np.empty(s.shape, t), np.empty(s.shape, t)
 
-    return _record(Tensor(merge(np.matmul(s, v4))), (q, k, v), bwd)
+        def backward(ix):  # gsc = s * (gs - rowsum(gs * s)) * c, built in gs
+            g4i, si, gsi = g4[ix], s[ix], gs[ix]
+            np.matmul(g4i, np.swapaxes(v4[ix], -1, -2), out=gsi)
+            np.matmul(np.swapaxes(si, -1, -2), g4i, out=gv4[ix])
+            gsi -= np.multiply(gsi, si, out=prod[ix]).sum(axis=-1, keepdims=True)
+            gsi *= si
+            gsi *= c
+            np.matmul(gsi, k4[ix], out=gq4[ix])
+            np.matmul(np.swapaxes(q4[ix], -1, -2), gsi, out=gk[ix])
+
+        _by_clips(backward, clips, per_clip)
+        return gq, merge(np.swapaxes(gk, -1, -2)), gv
+
+    return _record(Tensor(out), (q, k, v), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -249,22 +249,26 @@ def test_classify_mean_pool_is_token_order_invariant_at_uniform_pos():
     np.testing.assert_allclose(logits.data[0], logits.data[1], atol=1e-6)
 
 
-def test_clip_features_do_not_depend_on_batch_composition():
+def test_clip_features_do_not_depend_on_batch_composition(monkeypatch):
     # the probe trains its head on features encoded once per clip, so each
-    # clip's features must be the same bytes in any batch it is part of
+    # clip's features must be the same bytes in any batch it is part of,
+    # whether attention runs serially or splits the batch over two cores
     cfg = ModelConfig(dims=(8, 5, 5))
     params = init_mae_params(cfg, seed=0)
     ds = synth_moving_sprites(0, 16, size=(16, 80, 80), sprite_extent=24, noise_level=0.0)
     grids = np.stack([cubify(clip).tokens for clip, _ in ds])
     alone = [clip_features(grids[i:i + 1], params).data[0].tobytes() for i in range(16)]
     rng = np.random.default_rng(0)
-    for idx in (np.arange(16), rng.permutation(16), rng.choice(16, size=6)):
-        batch = clip_features(grids[idx], params).data
-        assert batch.shape == (len(idx), cfg.d_enc)
-        assert [row.tobytes() for row in batch] == [alone[i] for i in idx]
-    repeated = np.array([3, 3, 7, 3])
-    assert [row.tobytes() for row in clip_features(grids[repeated], params).data] == \
-        [alone[i] for i in repeated]
+    # batches of 3 and 5 clips split into uneven halves
+    batches = (np.arange(16), rng.permutation(16), rng.choice(16, size=6),
+               rng.choice(16, size=3, replace=False), rng.choice(16, size=5, replace=False),
+               np.array([3, 3, 7, 3]))
+    for floor in (tk._SPLIT_FLOOR, 0):
+        monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
+        for idx in batches:
+            batch = clip_features(grids[idx], params).data
+            assert batch.shape == (len(idx), cfg.d_enc)
+            assert [row.tobytes() for row in batch] == [alone[i] for i in idx]
 
 
 def test_head_requires_at_least_two_classes():

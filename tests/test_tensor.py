@@ -2,7 +2,10 @@
 
 import inspect
 import math
+import os
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -360,6 +363,109 @@ def test_attention_block_records_twelve_tape_entries():
     with Tape() as tape:
         tk.attention_block(x.value, blk, "blk", heads=2)
     assert len(tape) == 12
+
+
+# -- attention on two cores --------------------------------------------------
+
+def _serial_attention(q, k, v, heads):
+    """tk.attention as one numpy pass over the whole batch, recorded on the tape.
+
+    The layouts and summation orders the split path must reproduce: k's
+    gradient is a transposed view of matmul(q4^T, gsc), and its consumers
+    sum it in that memory order.
+    """
+    lead, (n, d) = q.shape[:-2], q.shape[-2:]
+    c = 1.0 / math.sqrt(d / heads)
+
+    def split(a):
+        return np.swapaxes(a.reshape(lead + (n, heads, d // heads)), -3, -2)
+
+    def merge(a):
+        return np.swapaxes(a, -3, -2).reshape(lead + (n, d))
+
+    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(q4, np.swapaxes(k4, -1, -2)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        g4 = split(g)
+        gs = np.matmul(g4, np.swapaxes(v4, -1, -2))
+        gv = np.matmul(np.swapaxes(s, -1, -2), g4)
+        gsc = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * c
+        gk = np.swapaxes(np.matmul(np.swapaxes(q4, -1, -2), gsc), -1, -2)
+        return merge(np.matmul(gsc, k4)), merge(gk), merge(gv)
+
+    return tk._record(Tensor(merge(np.matmul(s, v4))), (q, k, v), bwd)
+
+
+# _SPLIT_FLOOR 0 splits every batch of two or more clips, inf none
+_PATHS = pytest.mark.parametrize("floor", [0, math.inf], ids=["split", "serial"])
+
+
+@_PATHS
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 16])
+def test_attention_on_either_path_is_bitwise_the_serial_pass(monkeypatch, batch, dtype, floor):
+    rng = np.random.default_rng(batch)
+    q0, k0, v0, target = (rng.standard_normal((batch, 24, 16)).astype(dtype) for _ in range(4))
+
+    def run(attention):
+        q, k, v = (Param(a, name, dtype=dtype) for a, name in ((q0, "q"), (k0, "k"), (v0, "v")))
+        with Tape() as tape:
+            out = attention(q.value, k.value, v.value, 4)
+            tape.backward(tk.mse(out, target))
+        return [(a.dtype, a.tobytes()) for a in (out.data, q.grad, k.grad, v.grad)]
+
+    expect = run(_serial_attention)
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
+    assert run(tk.attention) == expect
+
+
+@_PATHS
+def test_attention_block_gradients_on_either_path_are_bitwise_the_serial_pass(monkeypatch,
+                                                                             floor):
+    # bk's gradient sums k's gradient in its memory order, so a split that
+    # wrote k's gradient in another layout would move bk's last bits
+    rng = np.random.default_rng(12)
+    x0, target = (rng.standard_normal((5, 40, 16)).astype(np.float32) for _ in range(2))
+
+    def grads():
+        blk = tk.init_block_params(16, "blk", np.random.default_rng(13))
+        x = Param(x0, "x")
+        with Tape() as tape:
+            tape.backward(tk.mse(tk.attention_block(x.value, blk, "blk", heads=4), target))
+        return {name: p.grad.tobytes() for name, p in [("x", x), *blk.items()]}
+
+    with monkeypatch.context() as m:
+        m.setattr(tk, "attention", _serial_attention)
+        expect = grads()
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
+    assert grads() == expect
+
+
+def test_a_forked_child_splits_attention_without_hanging(monkeypatch):
+    # the child of a fork has the parent's pool object but no worker thread
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", 0)
+    x = Tensor(np.random.default_rng(14).standard_normal((4, 8, 8)))
+    expect = tk.attention(x, x, x, 2).data.tobytes()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if tk.attention(x, x, x, 2).data.tobytes() == expect else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            assert os.waitstatus_to_exitcode(status) == 0
+            return
+        time.sleep(0.02)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    pytest.fail("the forked child did not finish a split attention within 10 s")
 
 
 def test_attention_block_rejects_indivisible_heads():

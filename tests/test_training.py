@@ -1,5 +1,12 @@
 """Tests for the loss, optimizer, schedule, checkpointing, and training loops."""
 
+import functools
+import importlib
+import inspect
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -467,6 +474,47 @@ def test_supervised_steps_record_55_fine_tune_and_3_probe_tape_entries(monkeypat
     ds = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
     runner(params, ds, ds, TrainConfig(mode="finetune", batch_size=4, total_steps=2, seed=0))
     assert recorded == [entries, entries]
+
+
+def test_maskvid_code_runs_only_on_the_main_thread(monkeypatch):
+    # the worker thread that computes half of a split attention runs numpy
+    # alone: every public layer function and the tape stay on the caller's
+    # thread, as bench/tracer.py's span stack requires
+    threads = []
+
+    def confined(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            threads.append((fn.__qualname__, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for layer in ("video", "masking", "model", "tensor", "training", "experiments"):
+        module = importlib.import_module(f"maskvid.{layer}")
+        for attr, value in vars(module).items():
+            if (inspect.isfunction(value) and not attr.startswith("_")
+                    and value.__module__ == module.__name__):
+                wrappers[id(value)] = confined(value)
+    for name, module in list(sys.modules.items()):
+        if name == "maskvid" or name.startswith("maskvid."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
+    for attr in ("record", "backward"):
+        monkeypatch.setattr(Tape, attr, confined(vars(Tape)[attr]))
+    monkeypatch.setattr(tk, "_POOL", None)
+
+    params = init_mae_params(ModelConfig(dims=(8, 5, 5)), seed=0)
+    labelled = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
+    result = finetune(params, labelled, labelled,
+                      TrainConfig(mode="finetune", batch_size=4, total_steps=1, seed=0))
+    held_out = synth_moving_sprites(2, 16, **_ACCEPTANCE_SPRITES)
+    classify([clip for clip, _ in held_out], result.params, result.head)
+    assert {name for name, _ in threads} >= {"attention", "Tape.record", "Tape.backward"}
+    assert [name for name, thread in threads if thread is not threading.main_thread()] == []
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert tk._POOL is not None  # the fine-tune step and classify did split
 
 
 @pytest.mark.parametrize("runner,patched", [(finetune, "cubify"), (linear_probe, "encode")],

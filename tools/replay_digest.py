@@ -15,6 +15,8 @@ The replay covers:
   batches repeat clips), and on the 4 clips evaluated on themselves, the
   transfer benchmark's call shape: traces, accuracies, encoder parameters and
   head;
+- `classify` with the first fine-tuned model on the 16 held-out clips and on
+  5 of them (a batch whose halves are uneven): logits;
 - `maskvid reconstruct` from that checkpoint: every PPM file it writes;
 - make_mask over seeds 0-999 at (8,25) and (8,196) for each strategy;
 - pos_embed_table at (8,4,4) and (8,14,14) for the encoder and decoder widths;
@@ -38,7 +40,7 @@ import numpy as np
 
 from maskvid import cli, gradsuite
 from maskvid.masking import make_mask, mask_to_text
-from maskvid.model import ModelConfig, pos_embed_table
+from maskvid.model import ModelConfig, classify, pos_embed_table
 from maskvid.training import (TrainConfig, finetune, linear_probe, load_checkpoint,
                               pretrain, save_checkpoint)
 from maskvid.video import synth_moving_sprites
@@ -101,6 +103,12 @@ def replay_training(workdir: str) -> str:
                                                    result.params.params.items()}))
             emit(f"{name}/head", arrays_digest({n: p.value.data for n, p in
                                                  result.head.items()}))
+            if name == "finetune":
+                clips = [clip for clip, _ in eval_ds]
+                for count in (16, 5):
+                    logits = classify(clips[:count], result.params, result.head).data
+                    emit(f"classify_{count}clips/logits",
+                         digest(logits.shape, str(logits.dtype), logits.tobytes()))
     return tube_path
 
 
