@@ -256,7 +256,7 @@ def mae_forward_batch(grids: np.ndarray, visible_indices: np.ndarray,
 
 def _stack_grids(clips, params: MAEParams) -> np.ndarray:
     """The clips' cube grids stacked as (B, N, 1536), in the parameters' dtype."""
-    return np.stack([cubify(c).tokens for c in clips]).astype(params.pos_enc.dtype)
+    return np.stack([cubify(c).tokens for c in clips]).astype(params.pos_enc.dtype, copy=False)
 
 
 def clip_features(grids: np.ndarray, params: MAEParams) -> Tensor:

@@ -175,6 +175,61 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+# -- the second core --------------------------------------------------------
+
+# Units of work each half of a split call must hold for the worker thread to
+# pay for its handoff, counted in attention score entries; _by_clips names
+# each op's equivalent. Measured in situ on 2 cores, in fine-tune and
+# pretraining steps: attention halves of 160,000 entries or fewer were
+# slower, of 204,800 or more faster; linear and gelu set their units so that
+# their crossovers fall on the same floor.
+_SPLIT_FLOOR = 200_000
+_POOL: Optional[futures.ThreadPoolExecutor] = None
+
+
+def _forget_pool():  # a forked child has the pool but not its thread
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _by_clips(fn: Callable, clips: int, per_clip: int):
+    """fn(...) here, or fn(slice(0, mid)) here while the worker thread runs
+    fn(slice(mid, clips)), when the process may use two cores and each half
+    holds at least _SPLIT_FLOOR units of per_clip work. A unit is one
+    attention score entry (heads x N x N per clip), 32 multiply-adds of a
+    linear's GEMM (rows x K x M / 32 per clip, none when K < 64), or 2/7 of
+    a gelu element (3.5 x elements per clip). If the worker has not started
+    its half by the time this one is done (its core is busy elsewhere), that
+    half runs here too.
+
+    fn must call only numpy and scipy on array slices (which release the
+    GIL), never maskvid or the tape, and write each clip into its own slice
+    of outputs allocated up front.
+    """
+    global _POOL
+    mid = (clips + 1) // 2
+    if clips < 2 or (clips - mid) * per_clip < _SPLIT_FLOOR:
+        return fn(...)
+    if _POOL is None:
+        if len(os.sched_getaffinity(0)) < 2:
+            return fn(...)
+        _POOL = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="maskvid")
+    upper = _POOL.submit(fn, slice(mid, clips))
+    try:
+        fn(slice(0, mid))
+    finally:
+        here = upper.cancel()
+        if not here:
+            futures.wait([upper])  # if this half raised, the worker is still writing
+    if here:
+        fn(slice(mid, clips))
+    else:
+        upper.result()
+
+
 # -- elementwise primitives ---------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -187,16 +242,42 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x)."""
+    """Exact Gaussian-CDF GELU: x * Phi(x).
+
+    Elementwise, so large batches run half their clips (index along the
+    first axis) on a second core (_by_clips).
+    """
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = Tensor(xd * cdf)
+    clips, per_clip = (xd.shape[0] if xd.ndim else 1), 7 * math.prod(xd.shape[1:]) // 2
+    cdf, out = np.empty_like(xd), np.empty_like(xd)
+
+    def forward(ix):  # in place, op for op cdf = 0.5 * (1 + erf(x / sqrt2)), x * cdf
+        ci = np.multiply(xd[ix], _INV_SQRT2, out=cdf[ix])
+        erf(ci, out=ci)
+        ci += 1.0
+        ci *= 0.5
+        np.multiply(xd[ix], ci, out=out[ix])
+
+    _by_clips(forward, clips, per_clip)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
-        return (g * (cdf + xd * pdf),)
+        gx = np.empty(xd.shape, np.result_type(g, xd))
+        t = gx if gx.dtype == xd.dtype else np.empty_like(xd)
 
-    return _record(out, (x,), bwd)
+        def backward(ix):  # g * (cdf + x * pdf), pdf = exp(-x * x / 2) / sqrt(2 pi), built in t
+            xi = xd[ix]
+            ti = np.multiply(xi, -0.5, out=t[ix])
+            ti *= xi
+            np.exp(ti, out=ti)
+            ti *= _INV_SQRT2PI
+            ti *= xi
+            ti += cdf[ix]
+            np.multiply(g[ix], ti, out=gx[ix])
+
+        _by_clips(backward, clips, per_clip)
+        return (gx,)
+
+    return _record(Tensor(out), (x,), bwd)
 
 
 # -- linear algebra -------------------------------------------------------
@@ -215,17 +296,37 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -
             or (idx is not None and idx.shape != x.shape[:-1])):
         raise DimensionError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}, "
                              f"rows {None if idx is None else idx.shape}")
-    out = np.matmul(x.data, w.data)
-    out += b.data
+    xd, wd = x.data, w.data
+    k, m = wd.shape
+    # a 2-D x is one GEMM: split by rows, its weight gradient would be summed
+    # in another order. A GEMM with K < 64 is bound by writing its output.
+    clips = xd.shape[0] if xd.ndim > 2 else 1
+    per_clip = math.prod(xd.shape[1:-1]) * k * m // 32 if k >= 64 else 0
+    out = np.empty(xd.shape[:-1] + (m,), np.result_type(xd, wd))
+
+    def forward(ix):
+        oi = np.matmul(xd[ix], wd, out=out[ix])
+        oi += b.data
+
+    _by_clips(forward, clips, per_clip)
 
     def bwd(g):
         # an operand that needs no gradient (raw cube tokens, a frozen
         # weight) gets none computed
-        gx = gw = gb = None
-        if x.requires_grad:
-            gx = np.matmul(g, np.swapaxes(w.data, -1, -2))
-        if w.requires_grad:
-            gw = _unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
+        gx = np.empty(g.shape[:-1] + (k,), np.result_type(g, wd)) if x.requires_grad else None
+        # one weight gradient per clip, summed over clips by _unbroadcast
+        gw = np.empty(xd.shape[:-2] + (k, m), np.result_type(xd, g)) if w.requires_grad else None
+
+        def backward(ix):
+            if gx is not None:
+                np.matmul(g[ix], wd.T, out=gx[ix])
+            if gw is not None:
+                np.matmul(np.swapaxes(xd[ix], -1, -2), g[ix], out=gw[ix])
+
+        _by_clips(backward, clips, per_clip)
+        gb = None
+        if gw is not None:
+            gw = _unbroadcast(gw, w.shape)
         if b.requires_grad and idx is None:
             gb = _unbroadcast(g, b.shape)
         elif b.requires_grad:
@@ -238,47 +339,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -
         return gx, gw, gb
 
     return _record(Tensor(out), (x, w, b), bwd)
-
-
-# Score entries (heads x N x N per clip) each half of a split attention call
-# must hold for the worker thread to pay for its handoff. Measured in situ on
-# 2 cores: halves of 160,000 or fewer made fine-tune steps slower, halves of
-# 204,800 or more made them faster.
-_SPLIT_FLOOR = 200_000
-_POOL: Optional[futures.ThreadPoolExecutor] = None
-
-
-def _forget_pool():  # a forked child has the pool but not its thread
-    global _POOL
-    _POOL = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _by_clips(fn: Callable, clips: int, per_clip: int):
-    """fn(...) here, or fn(slice(0, mid)) here while the worker thread runs
-    fn(slice(mid, clips)), when the process may use two cores and each half
-    holds at least _SPLIT_FLOOR units of per_clip work.
-
-    fn must call only numpy on array slices (which releases the GIL), never
-    maskvid or the tape, and write each clip into its own slice of outputs
-    allocated up front.
-    """
-    global _POOL
-    mid = (clips + 1) // 2
-    if clips < 2 or (clips - mid) * per_clip < _SPLIT_FLOOR:
-        return fn(...)
-    if _POOL is None:
-        if len(os.sched_getaffinity(0)) < 2:
-            return fn(...)
-        _POOL = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="maskvid")
-    upper = _POOL.submit(fn, slice(mid, clips))
-    try:
-        fn(slice(0, mid))
-    finally:
-        futures.wait([upper])  # if this half raised, the worker is still writing
-    upper.result()
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:

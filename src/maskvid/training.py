@@ -420,7 +420,8 @@ def _clip_grids(dataset) -> tuple[np.ndarray, np.ndarray]:
         grid = cubify(clip)
         grids.append(grid.tokens)
         targets.append(normalize_cube_targets(grid).values)
-    return np.stack(grids).astype(np.float32), np.stack(targets).astype(np.float32)
+    return (np.stack(grids).astype(np.float32, copy=False),
+            np.stack(targets).astype(np.float32, copy=False))
 
 
 def _flip_clip(clip: VideoClip) -> VideoClip:

@@ -106,7 +106,7 @@ def normalize_cube_targets(grid: CubeGrid, eps: float = 1e-6) -> TargetCubes:
     means = grid.tokens.mean(axis=1, dtype=np.float64).astype(grid.tokens.dtype)
     stds = grid.tokens.astype(np.float64).std(axis=1).astype(grid.tokens.dtype)
     values = (grid.tokens - means[:, None]) / (stds[:, None] + eps)
-    return TargetCubes(values.astype(grid.tokens.dtype), means, stds)
+    return TargetCubes(values.astype(grid.tokens.dtype, copy=False), means, stds)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import os
+from concurrent import futures
 
 import pytest
 
@@ -16,3 +17,29 @@ def src_on_child_pythonpath(monkeypatch):
     """
     rest = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join([SRC] + rest))
+
+
+class _InlinePool:
+    """Stands in for tensor._POOL: runs each submitted half at once, here."""
+
+    def __init__(self, log: list):
+        self.log = log
+
+    def submit(self, fn, *args):
+        self.log.append(fn.__qualname__.split(".")[0])
+        future = futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.fixture
+def split_log(monkeypatch):
+    """The ops (`linear`, `gelu`, `attention`) of every split call, in order.
+
+    The pool is replaced, so splits are logged on any number of cores.
+    """
+    from maskvid import tensor
+
+    log = []
+    monkeypatch.setattr(tensor, "_POOL", _InlinePool(log))
+    return log

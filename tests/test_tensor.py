@@ -5,12 +5,15 @@ import math
 import os
 import re
 import signal
+import threading
 import time
+from concurrent import futures
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from maskvid import tensor as tk
 from maskvid.errors import ConfigError, ContractError, DimensionError
@@ -439,6 +442,8 @@ def test_attention_block_gradients_on_either_path_are_bitwise_the_serial_pass(mo
 
     with monkeypatch.context() as m:
         m.setattr(tk, "attention", _serial_attention)
+        m.setattr(tk, "linear", _serial_linear)
+        m.setattr(tk, "gelu", _serial_gelu)
         expect = grads()
     monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
     assert grads() == expect
@@ -466,6 +471,144 @@ def test_a_forked_child_splits_attention_without_hanging(monkeypatch):
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
     pytest.fail("the forked child did not finish a split attention within 10 s")
+
+
+def _serial_linear(x, w, b, rows=None):
+    """tk.linear as one numpy pass over the whole batch, recorded on the tape.
+
+    The weight gradient is one (..., K, M) product per clip, summed over the
+    clips by _unbroadcast in that memory order.
+    """
+    idx = None if rows is None else np.asarray(rows)
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def bwd(g):
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = np.matmul(g, np.swapaxes(w.data, -1, -2))
+        if w.requires_grad:
+            gw = tk._unbroadcast(np.matmul(np.swapaxes(x.data, -1, -2), g), w.shape)
+        if b.requires_grad and idx is None:
+            gb = tk._unbroadcast(g, b.shape)
+        elif b.requires_grad:
+            d = g.shape[-1]
+            flat_g, flat_rows = g.reshape(-1, idx.shape[-1], d), idx.reshape(-1, idx.shape[-1])
+            per_row = np.zeros((int(flat_rows.max(initial=0)) + 1, d), dtype=g.dtype)
+            for gi, ri in zip(flat_g, flat_rows):
+                per_row[ri] += gi
+            gb = per_row.sum(axis=0)
+        return gx, gw, gb
+
+    return tk._record(Tensor(out), (x, w, b), bwd)
+
+
+def _serial_gelu(x):
+    """tk.gelu as out-of-place numpy expressions over the whole batch."""
+    xd = x.data
+    cdf = 0.5 * (1.0 + erf(xd * tk._INV_SQRT2))
+
+    def bwd(g):
+        pdf = np.exp(-0.5 * xd * xd) * tk._INV_SQRT2PI
+        return (g * (cdf + xd * pdf),)
+
+    return tk._record(Tensor(xd * cdf), (x,), bwd)
+
+
+@_PATHS
+@pytest.mark.parametrize("case", ["plain", "rows", "constant_x", "frozen_w"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 16])
+def test_linear_on_either_path_is_bitwise_the_serial_pass(monkeypatch, batch, dtype, case, floor):
+    rng = np.random.default_rng(batch)
+    x0 = rng.standard_normal((batch, 24, 64)).astype(dtype)
+    w0, b0 = rng.standard_normal((64, 48)).astype(dtype), rng.standard_normal(48).astype(dtype)
+    target = rng.standard_normal((batch, 24, 48)).astype(dtype)
+    # 24 of a 40-row grid per clip, ascending
+    rows = np.sort(rng.random((batch, 40)).argsort(axis=-1)[:, :24], axis=-1) if case == "rows" else None
+
+    def run(linear):
+        x, w, b = (Param(a, name, dtype=dtype) for a, name in ((x0, "x"), (w0, "w"), (b0, "b")))
+        x.value.requires_grad = case != "constant_x"
+        w.value.requires_grad = case != "frozen_w"
+        with Tape() as tape:
+            out = linear(x.value, w.value, b.value, rows)
+            tape.backward(tk.mse(out, target))
+        return [(a.dtype, a.tobytes()) for a in (out.data, x.grad, w.grad, b.grad)]
+
+    expect = run(_serial_linear)
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
+    assert run(tk.linear) == expect
+
+
+@_PATHS
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 16])
+def test_gelu_on_either_path_is_bitwise_the_serial_pass(monkeypatch, batch, dtype, floor):
+    # 9 x 37 entries per clip: the upper half starts off any SIMD alignment
+    rng = np.random.default_rng(batch)
+    x0, target = (3.0 * rng.standard_normal((batch, 9, 37)).astype(dtype) for _ in range(2))
+
+    def run(gelu):
+        x = Param(x0, "x", dtype=dtype)
+        with Tape() as tape:
+            out = gelu(x.value)
+            tape.backward(tk.mse(out, target))
+        return [(a.dtype, a.tobytes()) for a in (out.data, x.grad)]
+
+    expect = run(_serial_gelu)
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
+    assert run(tk.gelu) == expect
+
+
+def test_a_2d_linear_never_submits_to_the_pool(monkeypatch, split_log):
+    # a 2-D x is one GEMM: its rows are not clips, and splitting them would
+    # reorder the weight-gradient sum
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", 0)
+    rng = np.random.default_rng(16)
+    x, w, b = (Param(rng.standard_normal(shape), name)
+               for shape, name in (((16, 64), "x"), ((64, 64), "w"), ((64,), "b")))
+    with Tape() as tape:
+        tape.backward(tk.mse(tk.linear(x.value, w.value, b.value), np.zeros((16, 64))))
+    tk.linear(Tensor(np.zeros((1, 16, 64))), w.value, b.value)  # a batch of one clip
+    assert split_log == []
+    tk.linear(Tensor(np.zeros((2, 16, 64))), w.value, b.value)
+    assert split_log == ["linear"]
+
+
+@pytest.mark.parametrize("op", ["linear", "attention"])
+def test_a_split_finishes_here_while_the_worker_is_busy(monkeypatch, op):
+    # a worker whose core is busy elsewhere has not started its half when the
+    # caller's is done: the caller runs that half itself instead of waiting
+    rng = np.random.default_rng(17)
+    x0, target = rng.standard_normal((4, 24, 64)), rng.standard_normal((4, 24, 64))
+    w = Tensor(rng.standard_normal((64, 64)))
+    b = Tensor(rng.standard_normal(64))
+
+    def run():
+        x = Param(x0, "x", dtype=np.float64)
+        with Tape() as tape:
+            out = tk.linear(x.value, w, b) if op == "linear" else tk.attention(*[x.value] * 3, 4)
+            tape.backward(tk.mse(out, target))
+        return out.data.tobytes(), x.grad.tobytes()
+
+    expect = run()
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", 0)
+    pool = futures.ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(tk, "_POOL", pool)
+    release = threading.Event()
+    pool.submit(release.wait)
+    got = []
+    caller = threading.Thread(target=lambda: got.append(run()), daemon=True)
+    try:
+        caller.start()
+        caller.join(10.0)
+        assert not caller.is_alive(), f"a split {op} waited for a worker that had not started"
+    finally:
+        release.set()
+        caller.join()
+        pool.shutdown()
+    assert got == [expect]
 
 
 def test_attention_block_rejects_indivisible_heads():

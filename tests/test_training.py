@@ -517,6 +517,20 @@ def test_maskvid_code_runs_only_on_the_main_thread(monkeypatch):
         assert tk._POOL is not None  # the fine-tune step and classify did split
 
 
+def test_a_tube_pretraining_step_splits_nothing_and_a_finetune_step_does(split_log):
+    # pretraining's largest ops (the K=32 pixel projection, the decoder's
+    # 2-head attention and its GELU, 16 visible tokens per clip) stay on one
+    # core
+    cfg = ModelConfig(dims=(8, 5, 5))
+    clips = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
+    pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0), clips, model_cfg=cfg)
+    assert split_log == []
+    labelled = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
+    finetune(init_mae_params(cfg, seed=0), labelled, labelled,
+             TrainConfig(mode="finetune", batch_size=4, total_steps=1, seed=0))
+    assert set(split_log) == {"linear", "gelu", "attention"}
+
+
 @pytest.mark.parametrize("runner,patched", [(finetune, "cubify"), (linear_probe, "encode")],
                          ids=["finetune_cubify", "linear_probe_encode"])
 def test_eval_on_the_training_set_reuses_its_grids_and_probe_features(monkeypatch, runner,

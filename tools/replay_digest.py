@@ -1,10 +1,17 @@
 """Print one `name sha256` line per artifact of a fixed maskvid replay.
 
 A refactor that must leave the numbers bitwise unchanged runs this on both
-source trees and diffs the two outputs:
+source trees and diffs the two outputs, under each of three invocations:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/replay_digest.py > after.txt
-    diff before.txt after.txt
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/replay_digest.py > after-1.txt
+    OPENBLAS_NUM_THREADS=2 PYTHONPATH=src python3 tools/replay_digest.py > after-2.txt
+    PYTHONPATH=src taskset -c 0 python3 tools/replay_digest.py > after-core0.txt
+    diff before-1.txt after-1.txt   # and likewise for -2 and -core0
+
+The first is the benchmark's setting. The second gives BLAS two threads. The
+third confines the process to one core, so the large batched ops that would
+otherwise run half their clips on a worker thread stay on one thread. All
+three print the same lines.
 
 The replay covers:
 - 150 pretraining steps at the (8,5,5) acceptance geometry (batch 4, seed 0,
