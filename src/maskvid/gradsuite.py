@@ -2,10 +2,14 @@
 
 Everything here runs in float64: central differences at h=1e-5 drown in
 float32 rounding. The full-model check probes a random subset of entries per
-parameter tensor so the suite stays under a minute.
+parameter tensor so the suite stays under a minute. attention_block records
+one tape entry for the whole block, so its attention and GELU kernels are
+also checked alone, each wrapped here as a recorded op.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,11 +55,52 @@ def _generic_mae_params(cfg: ModelConfig, rng):
     return params
 
 
+def kernel_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """attention_block's attention kernels alone, as one recorded op.
+
+    q, k, v are equal-shaped (..., N, D). The clips (first axis) run through
+    tk._by_clips as in the block, so the kernels split where the block's would.
+    """
+    lead, n = q.shape[:-2], q.shape[-2]
+    s, out = np.empty(lead + (heads, n, n), q.dtype), np.empty_like(q.data)
+    clips, per_clip = (lead[0] if lead else 1), math.prod(lead[1:]) * heads * n * n
+    tk._by_clips(lambda ix: tk._attend(q.data[ix], k.data[ix], v.data[ix], heads, s[ix], out[ix]),
+                 clips, per_clip)
+
+    def bwd(g):
+        gs, prod = np.empty_like(s), np.empty_like(s)
+        gq, gv = np.empty_like(q.data), np.empty_like(q.data)
+        gk = np.empty(lead + (heads, q.shape[-1] // heads, n), q.dtype)
+        tk._by_clips(lambda ix: tk._attend_grads(g[ix], q.data[ix], k.data[ix], v.data[ix], s[ix],
+                                                 heads, gs[ix], prod[ix], gq[ix], gk[ix], gv[ix]),
+                     clips, per_clip)
+        return gq, tk._keys_grad(gk), gv
+
+    return tk._record(Tensor(out), (q, k, v), bwd)
+
+
+def kernel_gelu(x: Tensor) -> Tensor:
+    """attention_block's GELU kernels alone, as one recorded op; the clips
+    (first axis) run through tk._by_clips, one unit each."""
+    xd = x.data
+    cdf, out = np.empty_like(xd), np.empty_like(xd)
+    clips = xd.shape[0] if xd.ndim else 1
+    tk._by_clips(lambda ix: tk._gelu(xd[ix], cdf[ix], out[ix]), clips, 1)
+
+    def bwd(g):
+        gx = np.empty_like(xd)
+        tk._by_clips(lambda ix: tk._gelu_grads(xd[ix], cdf[ix], g[ix], gx[ix]), clips, 1)
+        return (gx,)
+
+    return tk._record(Tensor(out), (x,), bwd)
+
+
 def primitive_checks(seed: int = 0) -> dict[str, float]:
     """Max relative gradient error per primitive, keyed by the function's name.
 
     Every public maskvid.tensor function that records onto the tape has an
-    entry; attention_block checks the composed block.
+    entry; attention_block checks the composed block, and attention and gelu
+    its kernels alone (kernel_attention, kernel_gelu).
     """
     rng = np.random.default_rng(seed)
     out: dict[str, float] = {}
@@ -76,7 +121,7 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     x = _param(rng, (3, 4), "x")
     y = _param(rng, (4,), "y")
     out["add"] = finite_diff_check(lambda: _sq_mean(tk.add(x.value, y.value)), [x, y])
-    out["gelu"] = finite_diff_check(lambda: _sq_mean(tk.gelu(x.value)), [x])
+    out["gelu"] = finite_diff_check(lambda: _sq_mean(kernel_gelu(x.value)), [x])
 
     g = _param(rng, (4,), "gamma")
     be = _param(rng, (4,), "beta")
@@ -111,7 +156,7 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     # two heads over batched (2, 3, 8) tokens
     q, k, v = (_param(rng, (2, 3, 8), n) for n in "qkv")
     out["attention"] = finite_diff_check(
-        lambda: _sq_mean(tk.attention(q.value, k.value, v.value, heads=2)), [q, k, v])
+        lambda: _sq_mean(kernel_attention(q.value, k.value, v.value, heads=2)), [q, k, v])
 
     blk = tk.init_block_params(8, "blk", rng, dtype=np.float64)
     _to_generic_point(blk.values(), rng)

@@ -181,8 +181,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # pay for its handoff, counted in attention score entries; _by_clips names
 # each op's equivalent. Measured in situ on 2 cores, in fine-tune and
 # pretraining steps: attention halves of 160,000 entries or fewer were
-# slower, of 204,800 or more faster; linear and gelu set their units so that
-# their crossovers fall on the same floor.
+# slower, of 204,800 or more faster. linear and attention_block set their
+# units so that their crossovers fall on the same floor: a block of 48
+# encoder tokens (178,176 units a half at batch 4) was no faster split, one
+# of 88 or 96 tokens 7% faster.
 _SPLIT_FLOOR = 200_000
 _POOL: Optional[futures.ThreadPoolExecutor] = None
 
@@ -199,15 +201,16 @@ def _by_clips(fn: Callable, clips: int, per_clip: int):
     """fn(...) here, or fn(slice(0, mid)) here while the worker thread runs
     fn(slice(mid, clips)), when the process may use two cores and each half
     holds at least _SPLIT_FLOOR units of per_clip work. A unit is one
-    attention score entry (heads x N x N per clip), 32 multiply-adds of a
-    linear's GEMM (rows x K x M / 32 per clip, none when K < 64), or 2/7 of
-    a gelu element (3.5 x elements per clip). If the worker has not started
-    its half by the time this one is done (its core is busy elsewhere), that
-    half runs here too.
+    attention score entry. attention_block counts heads x N^2 + 3.5 x N x
+    hidden + N x D x (4D + 2 hidden) / 64 per clip: its scores, its GELU
+    elements at 3.5 each, and its GEMMs at 64 multiply-adds each. linear
+    counts rows x K x M / 32 per clip, none when K < 64. If the worker has
+    not started its half by the time this one is done (its core is busy
+    elsewhere), that half runs here too.
 
     fn must call only numpy and scipy on array slices (which release the
-    GIL), never maskvid or the tape, and write each clip into its own slice
-    of outputs allocated up front.
+    GIL), never maskvid's public functions or the tape, and write each clip
+    into its own slice of outputs allocated up front.
     """
     global _POOL
     mid = (clips + 1) // 2
@@ -230,6 +233,134 @@ def _by_clips(fn: Callable, clips: int, per_clip: int):
         upper.result()
 
 
+# -- kernels -------------------------------------------------------------------
+#
+# numpy passes over one slice of clips that write into arrays the caller
+# allocated. The public ops and attention_block share them, so each op's
+# arithmetic exists once, and a split's worker thread runs nothing else.
+
+def _affine(x, w, b, out):
+    """x @ w + b into out."""
+    np.matmul(x, w, out=out)
+    out += b
+
+
+def _affine_grads(x, w, g, gx, gw):
+    """x's gradient g @ w^T into gx and w's, x^T @ g per clip, into gw; either may be None."""
+    if gx is not None:
+        np.matmul(g, w.T, out=gx)
+    if gw is not None:
+        np.matmul(np.swapaxes(x, -1, -2), g, out=gw)
+
+
+def _normalize(x, gamma, beta, eps, xhat, inv, out):
+    """Layer norm over the last axis: xhat, 1/std (..., 1) and xhat * gamma + beta
+    into out, which is scratch until then."""
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xhat)
+    var = np.multiply(xhat, xhat, out=out).mean(axis=-1, keepdims=True)
+    np.divide(1.0, np.sqrt(var + eps), out=inv)
+    xhat *= inv
+    np.multiply(xhat, gamma, out=out)
+    out += beta
+
+
+def _normalize_grads(g, gamma, xhat, inv, gxhat, dx):
+    """_normalize's input gradient into dx, then g * xhat (gamma's gradient
+    before the sum over rows) into gxhat, which is scratch until then."""
+    dxhat = np.multiply(g, gamma, out=dx)
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = np.multiply(dxhat, xhat, out=gxhat).mean(axis=-1, keepdims=True)
+    dxhat -= m1  # inv * (dxhat - m1 - xhat * m2), op for op
+    dxhat -= np.multiply(xhat, m2, out=gxhat)
+    dxhat *= inv
+    np.multiply(g, xhat, out=gxhat)
+
+
+def _gelu(x, cdf, out):
+    """Exact GELU x * Phi(x) into out, Phi(x) = 0.5 * (1 + erf(x / sqrt2)) into cdf."""
+    np.multiply(x, _INV_SQRT2, out=cdf)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    np.multiply(x, cdf, out=out)
+
+
+def _gelu_grads(x, cdf, g, gx):
+    """g * (cdf + x * pdf) into gx, pdf = exp(-x * x / 2) / sqrt(2 pi) built there."""
+    np.multiply(x, -0.5, out=gx)
+    gx *= x
+    np.exp(gx, out=gx)
+    gx *= _INV_SQRT2PI
+    gx *= x
+    gx += cdf
+    np.multiply(g, gx, out=gx)
+
+
+def _carve(dtype, *shapes) -> list:
+    """Uninitialized arrays of these shapes, views into one allocation.
+
+    A pass that allocates many large intermediates one by one and frees them
+    together makes malloc mmap each one, or hand the freed heap back to the
+    kernel, so the next pass faults its memory in afresh, page by page. One
+    allocation per pass raises malloc's mmap and trim thresholds instead,
+    and later passes reuse the heap.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    starts = np.cumsum([0] + [-(-size // 16) * 16 for size in sizes])  # 16-element aligned
+    flat = np.empty(int(starts[-1]), dtype)
+    return [flat[start:start + size].reshape(shape)
+            for start, size, shape in zip(starts, sizes, shapes)]
+
+
+def _heads(a, heads: int):
+    """(..., N, D) -> (..., heads, N, D / heads), a view of a contiguous a."""
+    return np.swapaxes(a.reshape(a.shape[:-1] + (heads, a.shape[-1] // heads)), -3, -2)
+
+
+def _keys_grad(gk):
+    """_attend_grads' (..., heads, dh, N) key gradient as a (..., N, D) view.
+
+    Its consumers sum it in this memory order; a contiguous copy would move
+    the last bits of the key bias's gradient.
+    """
+    *lead, heads, dh, n = gk.shape
+    return np.swapaxes(gk.reshape(tuple(lead) + (heads * dh, n)), -1, -2)
+
+
+def _attend(q, k, v, heads: int, s, out):
+    """Multi-head softmax(q k^T / sqrt(dh)) v of (..., N, D) q, k, v into out.
+
+    Each of q, k, v is split into `heads` slices of width dh = D / heads,
+    every query attends to every key of its head, and the heads' outputs are
+    concatenated back. The softmax goes into s, (..., heads, N, N).
+    """
+    c = 1.0 / math.sqrt(q.shape[-1] / heads)
+    np.matmul(_heads(q, heads), np.swapaxes(_heads(k, heads), -1, -2), out=s)
+    s *= c  # an in-place softmax, op for op the out-of-place one
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    np.matmul(s, _heads(v, heads), out=_heads(out, heads))
+
+
+def _attend_grads(g, q, k, v, s, heads: int, gs, prod, gq, gk, gv):
+    """_attend's gradients for upstream g: q's and v's into gq and gv, k's
+    into gk in the (..., heads, dh, N) layout of its product (_keys_grad).
+
+    gs and prod are score-sized scratch; the score gradient
+    gsc = s * (gs - rowsum(gs * s)) * c is built in gs.
+    """
+    c = 1.0 / math.sqrt(q.shape[-1] / heads)
+    g4 = _heads(g, heads)
+    np.matmul(g4, np.swapaxes(_heads(v, heads), -1, -2), out=gs)
+    np.matmul(np.swapaxes(s, -1, -2), g4, out=_heads(gv, heads))
+    gs -= np.multiply(gs, s, out=prod).sum(axis=-1, keepdims=True)
+    gs *= s
+    gs *= c
+    np.matmul(gs, _heads(k, heads), out=_heads(gq, heads))
+    np.matmul(np.swapaxes(_heads(q, heads), -1, -2), gs, out=gk)
+
+
 # -- elementwise primitives ---------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -239,45 +370,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _record(out, (a, b), bwd)
-
-
-def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-CDF GELU: x * Phi(x).
-
-    Elementwise, so large batches run half their clips (index along the
-    first axis) on a second core (_by_clips).
-    """
-    xd = x.data
-    clips, per_clip = (xd.shape[0] if xd.ndim else 1), 7 * math.prod(xd.shape[1:]) // 2
-    cdf, out = np.empty_like(xd), np.empty_like(xd)
-
-    def forward(ix):  # in place, op for op cdf = 0.5 * (1 + erf(x / sqrt2)), x * cdf
-        ci = np.multiply(xd[ix], _INV_SQRT2, out=cdf[ix])
-        erf(ci, out=ci)
-        ci += 1.0
-        ci *= 0.5
-        np.multiply(xd[ix], ci, out=out[ix])
-
-    _by_clips(forward, clips, per_clip)
-
-    def bwd(g):
-        gx = np.empty(xd.shape, np.result_type(g, xd))
-        t = gx if gx.dtype == xd.dtype else np.empty_like(xd)
-
-        def backward(ix):  # g * (cdf + x * pdf), pdf = exp(-x * x / 2) / sqrt(2 pi), built in t
-            xi = xd[ix]
-            ti = np.multiply(xi, -0.5, out=t[ix])
-            ti *= xi
-            np.exp(ti, out=ti)
-            ti *= _INV_SQRT2PI
-            ti *= xi
-            ti += cdf[ix]
-            np.multiply(g[ix], ti, out=gx[ix])
-
-        _by_clips(backward, clips, per_clip)
-        return (gx,)
-
-    return _record(Tensor(out), (x,), bwd)
 
 
 # -- linear algebra -------------------------------------------------------
@@ -304,11 +396,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -
     per_clip = math.prod(xd.shape[1:-1]) * k * m // 32 if k >= 64 else 0
     out = np.empty(xd.shape[:-1] + (m,), np.result_type(xd, wd))
 
-    def forward(ix):
-        oi = np.matmul(xd[ix], wd, out=out[ix])
-        oi += b.data
-
-    _by_clips(forward, clips, per_clip)
+    _by_clips(lambda ix: _affine(xd[ix], wd, b.data, out[ix]), clips, per_clip)
 
     def bwd(g):
         # an operand that needs no gradient (raw cube tokens, a frozen
@@ -317,13 +405,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -
         # one weight gradient per clip, summed over clips by _unbroadcast
         gw = np.empty(xd.shape[:-2] + (k, m), np.result_type(xd, g)) if w.requires_grad else None
 
-        def backward(ix):
-            if gx is not None:
-                np.matmul(g[ix], wd.T, out=gx[ix])
-            if gw is not None:
-                np.matmul(np.swapaxes(xd[ix], -1, -2), g[ix], out=gw[ix])
-
-        _by_clips(backward, clips, per_clip)
+        _by_clips(lambda ix: _affine_grads(xd[ix], wd, g[ix], None if gx is None else gx[ix],
+                                           None if gw is None else gw[ix]), clips, per_clip)
         gb = None
         if gw is not None:
             gw = _unbroadcast(gw, w.shape)
@@ -339,75 +422,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -
         return gx, gw, gb
 
     return _record(Tensor(out), (x, w, b), bwd)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head softmax(q k^T / sqrt(dh)) v over (..., N, D) inputs.
-
-    Each of q, k, v is split into `heads` slices of width dh = D/heads, every
-    query attends to every key of its head, and the heads' outputs are
-    concatenated back to (..., N, D). The softmax is kept for the backward.
-    A clip (index along the first axis) never reads another clip's data, so
-    large batches run half their clips on a second core (_by_clips).
-    """
-    if not q.shape == k.shape == v.shape:
-        raise DimensionError(f"attention needs equal q, k, v shapes, got {q.shape}, {k.shape}, {v.shape}")
-    lead, (n, d) = q.shape[:-2], q.shape[-2:]
-    if d % heads != 0:
-        raise ConfigError(f"token width {d} is not divisible by heads {heads}")
-    c = 1.0 / math.sqrt(d / heads)
-    clips = lead[0] if lead else 1
-    per_clip = math.prod(lead[1:]) * heads * n * n
-
-    def split(a):  # (..., N, D) -> (..., heads, N, dh), a view
-        return np.swapaxes(a.reshape(lead + (n, heads, d // heads)), -3, -2)
-
-    def merge(a):  # (..., heads, N, dh) -> (..., N, D)
-        return np.swapaxes(a, -3, -2).reshape(lead + (n, d))
-
-    q4, k4, v4 = split(q.data), split(k.data), split(v.data)
-    s = np.empty(lead + (heads, n, n), np.result_type(q.data, k.data))
-    out = np.empty(lead + (n, d), np.result_type(s, v.data))
-    out4 = split(out)
-
-    def forward(ix):  # an in-place softmax, op for op the out-of-place one
-        si = s[ix]
-        np.matmul(q4[ix], np.swapaxes(k4[ix], -1, -2), out=si)
-        si *= c
-        si -= si.max(axis=-1, keepdims=True)
-        np.exp(si, out=si)
-        si /= si.sum(axis=-1, keepdims=True)
-        np.matmul(si, v4[ix], out=out4[ix])
-
-    _by_clips(forward, clips, per_clip)
-
-    def bwd(g):
-        g4 = split(g)
-        t = np.result_type(s, g, v.data)  # of the score gradients
-        gq = np.empty(lead + (n, d), np.result_type(t, k.data))
-        gv = np.empty(lead + (n, d), np.result_type(s, g))
-        # k's gradient stays a transposed view of matmul(q4^T, gsc)'s
-        # (..., heads, dh, N) layout: its consumers sum it in memory order
-        gk = np.empty(lead + (heads, d // heads, n), np.result_type(q.data, t))
-        gq4, gv4 = split(gq), split(gv)
-        # scratch allocated here: a worker that allocates its own large arrays
-        # makes this thread page-fault afresh after each split
-        gs, prod = np.empty(s.shape, t), np.empty(s.shape, t)
-
-        def backward(ix):  # gsc = s * (gs - rowsum(gs * s)) * c, built in gs
-            g4i, si, gsi = g4[ix], s[ix], gs[ix]
-            np.matmul(g4i, np.swapaxes(v4[ix], -1, -2), out=gsi)
-            np.matmul(np.swapaxes(si, -1, -2), g4i, out=gv4[ix])
-            gsi -= np.multiply(gsi, si, out=prod[ix]).sum(axis=-1, keepdims=True)
-            gsi *= si
-            gsi *= c
-            np.matmul(gsi, k4[ix], out=gq4[ix])
-            np.matmul(np.swapaxes(q4[ix], -1, -2), gsi, out=gk[ix])
-
-        _by_clips(backward, clips, per_clip)
-        return gq, merge(np.swapaxes(gk, -1, -2)), gv
-
-    return _record(Tensor(out), (q, k, v), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -431,23 +445,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         )
     if eps <= 0:
         raise ContractError("layer_norm eps must be > 0")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    xd = x.data
+    xhat, inv = np.empty_like(xd), np.empty(xd.shape[:-1] + (1,), xd.dtype)
+    out = np.empty_like(xd, dtype=np.result_type(xd, gamma.data, beta.data))
+    _normalize(xd, gamma.data, beta.data, eps, xhat, inv, out)
 
     def bwd(g):
-        dgamma = _unbroadcast(g * xhat, gamma.shape)
-        dbeta = _unbroadcast(g, beta.shape)
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
-        return dx, dgamma, dbeta
+        gxhat, dx = np.empty_like(g), np.empty_like(g)
+        _normalize_grads(g, gamma.data, xhat, inv, gxhat, dx)
+        return dx, _unbroadcast(gxhat, gamma.shape), _unbroadcast(g, beta.shape)
 
-    return _record(out, (x, gamma, beta), bwd)
+    return _record(Tensor(out), (x, gamma, beta), bwd)
 
 
 # -- reductions -------------------------------------------------------------
@@ -605,24 +613,89 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
 def attention_block(tokens: Tensor, params: dict, name: str, heads: int) -> Tensor:
     """Pre-norm block: LN -> multi-head self-attention -> residual -> LN -> MLP -> residual.
 
-    Joint space-time attention: every token attends to every token.
+    Joint space-time attention: every token attends to every token. The
+    block is one recorded op. Its forward and its backward each take every
+    clip (index along the first axis) through the whole block in one
+    _by_clips call, so a large batch hands half its clips to the second
+    core once per pass; every intermediate goes into an array allocated
+    here. Cross-clip sums (the weight, bias and gain gradients) follow the
+    join. The arithmetic and its order are those of the composed ops:
+    layer_norm, linear, the attention and GELU kernels, add.
     """
-    if tokens.shape[-2] < 1:
-        raise ContractError("attention_block needs at least one token")
+    xd = tokens.data
+    if xd.ndim < 2 or xd.shape[-2] < 1:
+        raise ContractError(f"attention_block needs (..., N >= 1, D) tokens, got {xd.shape}")
+    lead, (n, d) = xd.shape[:-2], xd.shape[-2:]
+    if d % heads != 0:
+        raise ConfigError(f"token width {d} is not divisible by heads {heads}")
+    p = {key: params[f"{name}/{key}"].value for key in _block_layout(d, 1)}
+    hidden = p["w1"].shape[-1]
+    wrong = [f"{key} {p[key].shape}" for key, (shape, _) in _block_layout(d, hidden // d).items()
+             if p[key].shape != shape]
+    if wrong:
+        raise DimensionError(f"{name} parameters do not fit tokens {xd.shape}: {', '.join(wrong)}")
+    w = {key: t.data for key, t in p.items()}
+    dt = np.result_type(xd, *w.values())
+    clips = lead[0] if lead else 1
+    per_clip = math.prod(lead[1:]) * (heads * n * n + 7 * n * hidden // 2
+                                      + n * d * (4 * d + 2 * hidden) // 64)
 
-    def p(key):
-        return params[f"{name}/{key}"].value
+    rows = lead + (n,)
+    out = np.empty(rows + (d,), dt)
+    xhat1, y, q, k, v, att, h, xhat2, y2, a1, cdf, u, inv1, inv2, s = _carve(
+        dt, *[rows + (d,)] * 9, *[rows + (hidden,)] * 3, *[rows + (1,)] * 2,
+        lead + (heads, n, n))
 
-    y = layer_norm(tokens, p("ln1/g"), p("ln1/b"))
-    # q, k, v in this order: the gradient into y sums v's, k's, then q's part
-    q = linear(y, p("wq"), p("bq"))
-    k = linear(y, p("wk"), p("bk"))
-    v = linear(y, p("wv"), p("bv"))
-    h = add(tokens, linear(attention(q, k, v, heads), p("wo"), p("bo")))
+    def forward(ix):
+        _normalize(xd[ix], w["ln1/g"], w["ln1/b"], 1e-6, xhat1[ix], inv1[ix], y[ix])
+        for key, o in (("q", q), ("k", k), ("v", v)):
+            _affine(y[ix], w["w" + key], w["b" + key], o[ix])
+        _attend(q[ix], k[ix], v[ix], heads, s[ix], att[ix])
+        _affine(att[ix], w["wo"], w["bo"], h[ix])
+        np.add(h[ix], xd[ix], out=h[ix])
+        _normalize(h[ix], w["ln2/g"], w["ln2/b"], 1e-6, xhat2[ix], inv2[ix], y2[ix])
+        _affine(y2[ix], w["w1"], w["b1"], a1[ix])
+        _gelu(a1[ix], cdf[ix], u[ix])
+        _affine(u[ix], w["w2"], w["b2"], out[ix])
+        np.add(out[ix], h[ix], out=out[ix])
 
-    y2 = layer_norm(h, p("ln2/g"), p("ln2/b"))
-    m = linear(gelu(linear(y2, p("w1"), p("b1"))), p("w2"), p("b2"))
-    return add(h, m)
+    _by_clips(forward, clips, per_clip)
+
+    def bwd(g):
+        gt = np.result_type(g, dt)
+        gpart = np.empty(rows + (d,), gt)  # scratch, then the tokens' gradient
+        # one weight gradient per clip, summed over the clips after the join
+        wkeys = ("wq", "wk", "wv", "wo", "w1", "w2")
+        gu, ga1, gy2, gxhat2, gh, gq, gv, gy, gxhat1, gk, gs, prod, *gws = _carve(
+            gt, *[rows + (hidden,)] * 2, *[rows + (d,)] * 7, lead + (heads, d // heads, n),
+            s.shape, s.shape, *[lead + w[key].shape for key in wkeys])
+        gw = dict(zip(wkeys, gws))
+        gkn = _keys_grad(gk)
+
+        def backward(ix):
+            _affine_grads(u[ix], w["w2"], g[ix], gu[ix], gw["w2"][ix])
+            _gelu_grads(a1[ix], cdf[ix], gu[ix], ga1[ix])
+            _affine_grads(y2[ix], w["w1"], ga1[ix], gy2[ix], gw["w1"][ix])
+            _normalize_grads(gy2[ix], w["ln2/g"], xhat2[ix], inv2[ix], gxhat2[ix], gh[ix])
+            np.add(gh[ix], g[ix], out=gh[ix])  # h's gradient: g + LN2's
+            _affine_grads(att[ix], w["wo"], gh[ix], gpart[ix], gw["wo"][ix])
+            _attend_grads(gpart[ix], q[ix], k[ix], v[ix], s[ix], heads, gs[ix], prod[ix],
+                          gq[ix], gk[ix], gv[ix])
+            # y's gradient: (v's part + k's part) + q's part, the tape's order
+            _affine_grads(y[ix], w["wv"], gv[ix], gy[ix], gw["wv"][ix])
+            _affine_grads(y[ix], w["wk"], gkn[ix], gpart[ix], gw["wk"][ix])
+            np.add(gy[ix], gpart[ix], out=gy[ix])
+            _affine_grads(y[ix], w["wq"], gq[ix], gpart[ix], gw["wq"][ix])
+            np.add(gy[ix], gpart[ix], out=gy[ix])
+            _normalize_grads(gy[ix], w["ln1/g"], xhat1[ix], inv1[ix], gxhat1[ix], gpart[ix])
+            np.add(gpart[ix], gh[ix], out=gpart[ix])  # the tokens' gradient: h's + LN1's
+
+        _by_clips(backward, clips, per_clip)
+        per_clip_grads = {"ln1/g": gxhat1, "ln1/b": gy, "bq": gq, "bk": gkn, "bv": gv,
+                          "bo": gh, "ln2/g": gxhat2, "ln2/b": gy2, "b1": ga1, "b2": g, **gw}
+        return (gpart, *(_unbroadcast(per_clip_grads[key], p[key].shape) for key in p))
+
+    return _record(Tensor(out), (tokens, *p.values()), bwd)
 
 
 # -- gradient checking --------------------------------------------------------

@@ -413,15 +413,17 @@ class PretrainResult:
 
 
 def _clip_grids(dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Precompute cube grids and normalized targets for every clip."""
-    grids, targets = [], []
-    for item in dataset:
-        clip = item[0] if isinstance(item, tuple) else item
-        grid = cubify(clip)
-        grids.append(grid.tokens)
-        targets.append(normalize_cube_targets(grid).values)
-    return (np.stack(grids).astype(np.float32, copy=False),
-            np.stack(targets).astype(np.float32, copy=False))
+    """Cube grids and normalized targets of every clip of a nonempty dataset,
+    each written into one (n, N, 1536) float32 array."""
+    grids = targets = None
+    for i, item in enumerate(dataset):
+        grid = cubify(item[0] if isinstance(item, tuple) else item)
+        if grids is None:
+            grids = np.empty((len(dataset),) + grid.tokens.shape, np.float32)
+            targets = np.empty_like(grids)
+        grids[i] = grid.tokens
+        targets[i] = normalize_cube_targets(grid).values
+    return grids, targets
 
 
 def _flip_clip(clip: VideoClip) -> VideoClip:

@@ -34,7 +34,7 @@ class _InlinePool:
 
 @pytest.fixture
 def split_log(monkeypatch):
-    """The ops (`linear`, `gelu`, `attention`) of every split call, in order.
+    """The ops (`linear`, `attention_block`) of every split call, in order.
 
     The pool is replaced, so splits are logged on any number of cores.
     """

@@ -17,6 +17,7 @@ from scipy.special import erf
 
 from maskvid import tensor as tk
 from maskvid.errors import ConfigError, ContractError, DimensionError
+from maskvid.gradsuite import kernel_attention, kernel_gelu
 from maskvid.tensor import Param, Tape, Tensor, finite_diff_check
 
 
@@ -83,11 +84,11 @@ def test_layer_norm_affine_applies_after_normalization():
 def test_gelu_matches_erf_oracle():
     from scipy.special import erf
     x = np.linspace(-4, 4, 33)
-    out = tk.gelu(Tensor(x)).data
+    out = kernel_gelu(Tensor(x)).data
     expect = 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
     np.testing.assert_allclose(out, expect, atol=1e-7)
     # spot value: gelu(1) = 0.841345
-    np.testing.assert_allclose(tk.gelu(Tensor(np.array([1.0]))).data, [0.8413447], atol=1e-6)
+    np.testing.assert_allclose(kernel_gelu(Tensor(np.array([1.0]))).data, [0.8413447], atol=1e-6)
 
 
 def _attention_reference(q, k, v, heads):
@@ -107,12 +108,15 @@ def test_attention_matches_per_head_reference():
     rng = np.random.default_rng(2)
     for shape, heads in (((5, 8), 2), ((3, 6, 12), 3), ((2, 4, 6), 1)):
         q, k, v = (rng.standard_normal(shape) for _ in range(3))
-        out = tk.attention(Tensor(q), Tensor(k), Tensor(v), heads).data
+        out = kernel_attention(Tensor(q), Tensor(k), Tensor(v), heads).data
         np.testing.assert_allclose(out, _attention_reference(q, k, v, heads), rtol=1e-12, atol=1e-12)
+    # the block checks its heads, and that k's projection keeps the token width
+    blk = tk.init_block_params(6, "blk", rng, dtype=np.float64)
     with pytest.raises(ConfigError):
-        tk.attention(Tensor(q), Tensor(k), Tensor(v), heads=4)
+        tk.attention_block(Tensor(q), blk, "blk", heads=4)
+    blk["blk/wk"] = Param(np.zeros((6, 3)), "blk/wk", dtype=np.float64)
     with pytest.raises(DimensionError):
-        tk.attention(Tensor(q), Tensor(k[:, :3]), Tensor(v), heads=1)
+        tk.attention_block(Tensor(q), blk, "blk", heads=1)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
@@ -121,10 +125,10 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     rng = np.random.default_rng(2)
     q, k = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
     v = np.tile(rng.standard_normal(6), (4, 1))
-    np.testing.assert_allclose(tk.attention(Tensor(q), Tensor(k), Tensor(v), 2).data, v, atol=1e-12)
+    np.testing.assert_allclose(kernel_attention(Tensor(q), Tensor(k), Tensor(v), 2).data, v, atol=1e-12)
     v = rng.standard_normal((4, 6))
-    out = tk.attention(Tensor(q), Tensor(k), Tensor(v), 2).data
-    shifted = tk.attention(Tensor(q), Tensor(k + rng.standard_normal(6)), Tensor(v), 2).data
+    out = kernel_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+    shifted = kernel_attention(Tensor(q), Tensor(k + rng.standard_normal(6)), Tensor(v), 2).data
     np.testing.assert_allclose(out, shifted, atol=1e-12)
 
 
@@ -133,7 +137,7 @@ def test_softmax_handles_large_scores():
     rng = np.random.default_rng(3)
     q, v = rng.standard_normal((5, 8)), rng.standard_normal((5, 8))
     k = np.full((5, 8), 1e3)
-    out = tk.attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+    out = kernel_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-12)
 
@@ -256,7 +260,7 @@ def _recording_primitives() -> set:
 def test_every_recording_primitive_has_a_gradient_check():
     from maskvid.gradsuite import primitive_checks
     recording = _recording_primitives()
-    assert {"linear", "attention", "gather_rows", "scatter_rows", "mse"} <= recording
+    assert {"linear", "attention_block", "gather_rows", "scatter_rows", "mse"} <= recording
     assert recording <= set(primitive_checks())
 
 
@@ -321,9 +325,9 @@ def test_composite_expression_passes_finite_difference(seed):
     g = _param(rng, (3,), "g")
 
     def f():
-        y = tk.gelu(tk.linear(a.value, b.value, Tensor(np.zeros(3))))
+        y = kernel_gelu(tk.linear(a.value, b.value, Tensor(np.zeros(3))))
         y = tk.layer_norm(y, g.value, Tensor(np.zeros(3)))
-        return tk.mse(tk.add(y, tk.attention(y, y, y, heads=1)), np.zeros(y.shape))
+        return tk.mse(tk.add(y, kernel_attention(y, y, y, heads=1)), np.zeros(y.shape))
 
     assert finite_diff_check(f, [a, b, g]) < 1e-6
 
@@ -340,7 +344,7 @@ def test_softmax_backward_rows_orthogonal_to_ones(seed):
     up = rng.standard_normal((2, 4, 6))
 
     def f():
-        return _dot(tk.attention(q.value, k.value, v.value, 2), up)
+        return _dot(kernel_attention(q.value, k.value, v.value, 2), up)
 
     (g,) = _grad_of(f, [k])
     np.testing.assert_allclose(g.sum(axis=-2), np.zeros((2, 6)), atol=1e-10)
@@ -358,20 +362,22 @@ def test_attention_block_preserves_shape_and_differentiates():
     assert err < 1e-5
 
 
-def test_attention_block_records_twelve_tape_entries():
-    # LN, 3 x linear, attention, linear, residual, LN, linear, gelu, linear, residual
+def test_attention_block_records_one_tape_entry():
+    # LN, 3 x linear, attention, linear, residual, LN, linear, gelu, linear,
+    # residual: one recorded op
     rng = np.random.default_rng(8)
     blk = tk.init_block_params(8, "blk", rng)
     x = Param(rng.standard_normal((2, 5, 8)), "x")
     with Tape() as tape:
         tk.attention_block(x.value, blk, "blk", heads=2)
-    assert len(tape) == 12
+    assert len(tape) == 1
 
 
 # -- attention on two cores --------------------------------------------------
 
 def _serial_attention(q, k, v, heads):
-    """tk.attention as one numpy pass over the whole batch, recorded on the tape.
+    """The block's attention as one numpy pass over the whole batch, recorded
+    on the tape.
 
     The layouts and summation orders the split path must reproduce: k's
     gradient is a transposed view of matmul(q4^T, gsc), and its consumers
@@ -422,7 +428,7 @@ def test_attention_on_either_path_is_bitwise_the_serial_pass(monkeypatch, batch,
 
     expect = run(_serial_attention)
     monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
-    assert run(tk.attention) == expect
+    assert run(kernel_attention) == expect
 
 
 @_PATHS
@@ -433,32 +439,29 @@ def test_attention_block_gradients_on_either_path_are_bitwise_the_serial_pass(mo
     rng = np.random.default_rng(12)
     x0, target = (rng.standard_normal((5, 40, 16)).astype(np.float32) for _ in range(2))
 
-    def grads():
+    def grads(block):
         blk = tk.init_block_params(16, "blk", np.random.default_rng(13))
         x = Param(x0, "x")
         with Tape() as tape:
-            tape.backward(tk.mse(tk.attention_block(x.value, blk, "blk", heads=4), target))
+            tape.backward(tk.mse(block(x.value, blk, "blk", heads=4), target))
         return {name: p.grad.tobytes() for name, p in [("x", x), *blk.items()]}
 
-    with monkeypatch.context() as m:
-        m.setattr(tk, "attention", _serial_attention)
-        m.setattr(tk, "linear", _serial_linear)
-        m.setattr(tk, "gelu", _serial_gelu)
-        expect = grads()
+    expect = grads(_composed_block)
     monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
-    assert grads() == expect
+    assert grads(tk.attention_block) == expect
 
 
 def test_a_forked_child_splits_attention_without_hanging(monkeypatch):
     # the child of a fork has the parent's pool object but no worker thread
     monkeypatch.setattr(tk, "_SPLIT_FLOOR", 0)
     x = Tensor(np.random.default_rng(14).standard_normal((4, 8, 8)))
-    expect = tk.attention(x, x, x, 2).data.tobytes()
+    blk = tk.init_block_params(8, "blk", np.random.default_rng(15), dtype=np.float64)
+    expect = tk.attention_block(x, blk, "blk", 2).data.tobytes()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = 0 if tk.attention(x, x, x, 2).data.tobytes() == expect else 3
+            code = 0 if tk.attention_block(x, blk, "blk", 2).data.tobytes() == expect else 3
         finally:
             os._exit(code)
     deadline = time.monotonic() + 10.0
@@ -504,7 +507,7 @@ def _serial_linear(x, w, b, rows=None):
 
 
 def _serial_gelu(x):
-    """tk.gelu as out-of-place numpy expressions over the whole batch."""
+    """The block's GELU as out-of-place numpy expressions over the whole batch."""
     xd = x.data
     cdf = 0.5 * (1.0 + erf(xd * tk._INV_SQRT2))
 
@@ -513,6 +516,72 @@ def _serial_gelu(x):
         return (g * (cdf + xd * pdf),)
 
     return tk._record(Tensor(xd * cdf), (x,), bwd)
+
+
+def _serial_layer_norm(x, gamma, beta, eps=1e-6):
+    """tk.layer_norm as out-of-place numpy expressions, recorded on the tape."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+
+    def bwd(g):
+        dxhat = g * gamma.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (dxhat - m1 - xhat * m2), tk._unbroadcast(g * xhat, gamma.shape),
+                tk._unbroadcast(g, beta.shape))
+
+    return tk._record(Tensor(xhat * gamma.data + beta.data), (x, gamma, beta), bwd)
+
+
+def _composed_block(tokens, params, name, heads):
+    """tk.attention_block as the 12 recorded ops it fuses, each a one-pass
+    serial copy (tk.add aside): the tape then sums the gradients of y, h and
+    the tokens in the order the fused backward must keep."""
+    def p(key):
+        return params[f"{name}/{key}"].value
+
+    y = _serial_layer_norm(tokens, p("ln1/g"), p("ln1/b"))
+    q = _serial_linear(y, p("wq"), p("bq"))
+    k = _serial_linear(y, p("wk"), p("bk"))
+    v = _serial_linear(y, p("wv"), p("bv"))
+    h = tk.add(tokens, _serial_linear(_serial_attention(q, k, v, heads), p("wo"), p("bo")))
+    y2 = _serial_layer_norm(h, p("ln2/g"), p("ln2/b"))
+    m = _serial_linear(_serial_gelu(_serial_linear(y2, p("w1"), p("b1"))), p("w2"), p("b2"))
+    return tk.add(h, m)
+
+
+@_PATHS
+@pytest.mark.parametrize("shape,heads,dtype", [
+    ((4, 200, 32), 2, np.float32), ((4, 16, 64), 4, np.float32), ((4, 200, 64), 4, np.float32),
+    ((3, 8), 2, np.float64)], ids=["decoder200", "encoder16", "encoder200", "2d-float64"])
+def test_attention_block_is_bitwise_its_twelve_composed_ops(monkeypatch, shape, heads, dtype,
+                                                             floor):
+    # the output and all 17 gradients (tokens and 16 parameters); at a
+    # generic point, so that a reordered sum shows in the last bits
+    rng = np.random.default_rng(18)
+    x0, target = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+
+    def run(block):
+        blk = tk.init_block_params(shape[-1], "blk", np.random.default_rng(19), dtype=dtype)
+        point = np.random.default_rng(20)
+        for prm in blk.values():
+            d = prm.value.data
+            d[:] = (point.standard_normal(d.shape) / np.sqrt(d.shape[0]) if d.ndim == 2
+                    else 0.1 * point.standard_normal(d.shape) + prm.name.endswith("/g"))
+        x = Param(x0, "x", dtype=dtype)
+        with Tape() as tape:
+            out = block(x.value, blk, "blk", heads)
+            tape.backward(tk.mse(out, target))
+        return [(a.dtype, a.tobytes()) for a in (out.data, x.grad, *(p.grad for p in blk.values()))]
+
+    expect = run(_composed_block)
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
+    got = run(tk.attention_block)
+    assert len(got) == 18
+    assert got == expect
 
 
 @_PATHS
@@ -558,7 +627,7 @@ def test_gelu_on_either_path_is_bitwise_the_serial_pass(monkeypatch, batch, dtyp
 
     expect = run(_serial_gelu)
     monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
-    assert run(tk.gelu) == expect
+    assert run(kernel_gelu) == expect
 
 
 def test_a_2d_linear_never_submits_to_the_pool(monkeypatch, split_log):
@@ -576,7 +645,7 @@ def test_a_2d_linear_never_submits_to_the_pool(monkeypatch, split_log):
     assert split_log == ["linear"]
 
 
-@pytest.mark.parametrize("op", ["linear", "attention"])
+@pytest.mark.parametrize("op", ["linear", "attention", "attention_block"])
 def test_a_split_finishes_here_while_the_worker_is_busy(monkeypatch, op):
     # a worker whose core is busy elsewhere has not started its half when the
     # caller's is done: the caller runs that half itself instead of waiting
@@ -584,11 +653,15 @@ def test_a_split_finishes_here_while_the_worker_is_busy(monkeypatch, op):
     x0, target = rng.standard_normal((4, 24, 64)), rng.standard_normal((4, 24, 64))
     w = Tensor(rng.standard_normal((64, 64)))
     b = Tensor(rng.standard_normal(64))
+    blk = tk.init_block_params(64, "blk", rng, dtype=np.float64)
+    ops = {"linear": lambda x: tk.linear(x, w, b),
+           "attention": lambda x: kernel_attention(x, x, x, 4),
+           "attention_block": lambda x: tk.attention_block(x, blk, "blk", 4)}
 
     def run():
         x = Param(x0, "x", dtype=np.float64)
         with Tape() as tape:
-            out = tk.linear(x.value, w, b) if op == "linear" else tk.attention(*[x.value] * 3, 4)
+            out = ops[op](x.value)
             tape.backward(tk.mse(out, target))
         return out.data.tobytes(), x.grad.tobytes()
 
@@ -650,7 +723,7 @@ def test_deterministic_forward_backward():
         rng = np.random.default_rng(11)
         a = _param(rng, (4, 4), "a")
         (g,) = _grad_of(
-            lambda: _dot(tk.gelu(tk.linear(a.value, a.value, Tensor(np.zeros(4)))), np.ones((4, 4))),
+            lambda: _dot(kernel_gelu(tk.linear(a.value, a.value, Tensor(np.zeros(4)))), np.ones((4, 4))),
             [a])
         return g
 

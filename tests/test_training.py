@@ -461,23 +461,43 @@ def test_finetune_is_bitwise_the_per_step_cubify_finetune(acceptance_encoder, n_
     assert _bytes(params.params) != _bytes(params_from_checkpoint(acceptance_encoder).params)
 
 
-@pytest.mark.parametrize("runner,entries", [(finetune, 55), (linear_probe, 3)],
-                         ids=["finetune", "linear_probe"])
-def test_supervised_steps_record_55_fine_tune_and_3_probe_tape_entries(monkeypatch, runner,
-                                                                       entries):
-    # a probe step runs only the head: layer norm, linear, cross-entropy
+def _tape_lengths(monkeypatch) -> list:
+    """The tape length at each Tape.backward call, from now on."""
     recorded = []
     backward = Tape.backward
     monkeypatch.setattr(Tape, "backward",
                         lambda tape, loss: recorded.append(len(tape)) or backward(tape, loss))
+    return recorded
+
+
+@pytest.mark.parametrize("runner,entries", [(finetune, 11), (linear_probe, 3)],
+                         ids=["finetune", "linear_probe"])
+def test_supervised_steps_record_11_fine_tune_and_3_probe_tape_entries(monkeypatch, runner,
+                                                                       entries):
+    # a fine-tune step: embedding, positions, 4 blocks of one entry each,
+    # layer norm, mean pool, head layer norm, head linear, cross-entropy; a
+    # probe step runs only the head
+    recorded = _tape_lengths(monkeypatch)
     params = init_mae_params(ModelConfig(dims=(8, 5, 5)), seed=0)
     ds = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
     runner(params, ds, ds, TrainConfig(mode="finetune", batch_size=4, total_steps=2, seed=0))
     assert recorded == [entries, entries]
 
 
+def test_a_pretraining_step_records_16_tape_entries(monkeypatch):
+    # the 6 blocks (4 encoder, 2 decoder) of one entry each, and 10 ops
+    # around them: embedding, positions, encoder norm, enc2dec, scatter,
+    # positions, decoder norm, masked-row gather, pixel projection, loss (the
+    # gather of raw visible cubes has a constant input and records nothing)
+    recorded = _tape_lengths(monkeypatch)
+    clips = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
+    pretrain(TrainConfig(batch_size=4, total_steps=2, seed=0), clips,
+             model_cfg=ModelConfig(dims=(8, 5, 5)))
+    assert recorded == [16, 16]
+
+
 def test_maskvid_code_runs_only_on_the_main_thread(monkeypatch):
-    # the worker thread that computes half of a split attention runs numpy
+    # the worker thread that computes half of a split block runs numpy
     # alone: every public layer function and the tape stay on the caller's
     # thread, as bench/tracer.py's span stack requires
     threads = []
@@ -511,24 +531,39 @@ def test_maskvid_code_runs_only_on_the_main_thread(monkeypatch):
                       TrainConfig(mode="finetune", batch_size=4, total_steps=1, seed=0))
     held_out = synth_moving_sprites(2, 16, **_ACCEPTANCE_SPRITES)
     classify([clip for clip, _ in held_out], result.params, result.head)
-    assert {name for name, _ in threads} >= {"attention", "Tape.record", "Tape.backward"}
+    assert {name for name, _ in threads} >= {"attention_block", "Tape.record", "Tape.backward"}
     assert [name for name, thread in threads if thread is not threading.main_thread()] == []
     if len(os.sched_getaffinity(0)) >= 2:
         assert tk._POOL is not None  # the fine-tune step and classify did split
 
 
-def test_a_tube_pretraining_step_splits_nothing_and_a_finetune_step_does(split_log):
-    # pretraining's largest ops (the K=32 pixel projection, the decoder's
-    # 2-head attention and its GELU, 16 visible tokens per clip) stay on one
-    # core
+def test_tube_pretraining_splits_only_decoder_blocks_and_finetuning_more(monkeypatch,
+                                                                           split_log):
+    # a tube-0.9 step splits its two 200-token decoder blocks, forward and
+    # backward; its 16-token encoder blocks and its other ops (the K=32
+    # pixel projection among them) stay on one core
+    forward_splits = []
+    block = tk.attention_block
+
+    def logged(tokens, params, name, heads):
+        before = len(split_log)
+        out = block(tokens, params, name, heads)
+        forward_splits.append((name, tokens.shape[-2], len(split_log) - before))
+        return out
+
     cfg = ModelConfig(dims=(8, 5, 5))
     clips = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
-    pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0), clips, model_cfg=cfg)
-    assert split_log == []
+    with monkeypatch.context() as m:
+        m.setattr(tk, "attention_block", logged)
+        pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0), clips, model_cfg=cfg)
+    assert forward_splits == [(f"enc/block{i}", 16, 0) for i in range(4)] + [
+        (f"dec/block{i}", 200, 1) for i in range(2)]
+    assert split_log == ["attention_block"] * 4
+    split_log.clear()
     labelled = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
     finetune(init_mae_params(cfg, seed=0), labelled, labelled,
              TrainConfig(mode="finetune", batch_size=4, total_steps=1, seed=0))
-    assert set(split_log) == {"linear", "gelu", "attention"}
+    assert set(split_log) == {"linear", "attention_block"}
 
 
 @pytest.mark.parametrize("runner,patched", [(finetune, "cubify"), (linear_probe, "encode")],
