@@ -22,8 +22,8 @@ from .masking import STRATEGIES, make_mask, mask_to_text
 from .model import ModelConfig, reconstruct
 from .training import (SNAPSHOT_FIELDS, TrainConfig, decode_config, field_types, finetune,
                        linear_probe, load_checkpoint, params_from_checkpoint, pretrain,
-                       save_checkpoint, snapshot_config, write_loss_trace, _make_checkpoint,
-                       OptimState)
+                       save_checkpoint, snapshot_config, write_loss_trace, _check_clip_grids,
+                       _make_checkpoint, OptimState)
 from .video import clip_size, read_raw_clip, synth_moving_sprites
 from .viz import frame_to_image, gray_masked_cubes, mask_heatmap, write_ppm
 
@@ -117,6 +117,7 @@ def cmd_pretrain(args) -> int:
     out = _resolve_out(args)
     if data["raw_path"]:
         dataset = [read_raw_clip(data["raw_path"])]
+        _check_clip_grids(dataset, model_cfg.dims, "pretraining", "model")
     else:
         dataset = _sprites_for(model_cfg, data["count"], data["seed"])
     _log("pretrain_start", clips=len(dataset), steps=train_cfg.step_budget(len(dataset))[1],

@@ -164,6 +164,12 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     out["attention_block"] = finite_diff_check(
         lambda: _sq_mean(tk.attention_block(tokens.value, blk, "blk", heads=2)),
         list(blk.values()) + [tokens])
+
+    # the pixel head and its loss on rows of a 5-row grid, rows bias included
+    hx, hw, hb = _param(rng, (2, 3, 4), "hx"), _param(rng, (4, 6), "hw"), _param(rng, (6,), "hb")
+    head_targets = rng.standard_normal((2, 3, 6))
+    out["pixel_mse"] = finite_diff_check(
+        lambda: tk.pixel_mse(hx.value, hw.value, hb.value, cube_rows, head_targets), [hx, hw, hb])
     return out
 
 

@@ -9,6 +9,7 @@ scattering (decoder).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from . import tensor as tk
 from .errors import ConfigError, ContractError, DimensionError
 from .masking import MaskMap
 from .tensor import Param, Tensor
-from .video import (CUBE_WIDTH, CubeGrid, VideoClip, cubify, decubify,
+from .video import (CUBE_WIDTH, CubeGrid, VideoClip, _cube_tokens, cubify, decubify,
                     normalize_cube_targets)
 
 
@@ -187,13 +188,9 @@ def encode(visible: Tensor, params: MAEParams) -> Tensor:
     return tk.layer_norm(x, params["enc/norm/g"].value, params["enc/norm/b"].value)
 
 
-def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
-           rows: np.ndarray | None = None) -> Tensor:
-    """Project to decoder width, scatter with mask tokens, run decoder, project to pixels.
-
-    Every grid row is projected to pixels, or only the rows `rows`
-    (encoded.shape[:-2] + (K,), unique along K) when given.
-    """
+def _decoder_rows(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
+                  rows: np.ndarray | None) -> Tensor:
+    """decode up to its pixel projection: the normed decoder rows `rows`, or all."""
     cfg = params.config
     x = tk.linear(encoded, params["enc2dec/w"].value, params["enc2dec/b"].value)
     x = tk.scatter_rows(x, visible_indices, params["mask_token"].value, cfg.n_tokens)
@@ -201,8 +198,17 @@ def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
     for i in range(cfg.depth_dec):
         x = tk.attention_block(x, params.params, f"dec/block{i}", cfg.heads_dec)
     x = tk.layer_norm(x, params["dec/norm/g"].value, params["dec/norm/b"].value)
-    if rows is not None:
-        x = tk.gather_rows(x, rows)
+    return x if rows is None else tk.gather_rows(x, rows)
+
+
+def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
+           rows: np.ndarray | None = None) -> Tensor:
+    """Project to decoder width, scatter with mask tokens, run decoder, project to pixels.
+
+    Every grid row is projected to pixels, or only the rows `rows`
+    (encoded.shape[:-2] + (K,), unique along K) when given.
+    """
+    x = _decoder_rows(encoded, visible_indices, params, rows)
     return tk.linear(x, params["out/w"].value, params["out/b"].value, rows)
 
 
@@ -247,16 +253,46 @@ def mae_forward_batch(grids: np.ndarray, visible_indices: np.ndarray,
     or on an index outside the grid.
     """
     _check_batch(grids, params, visible_indices=visible_indices, rows=rows)
+    return decode(_encode_visible(grids, visible_indices, params), visible_indices, params, rows)
+
+
+def _encode_visible(grids: np.ndarray, visible_indices: np.ndarray, params: MAEParams) -> Tensor:
+    """gather visible cubes -> cube_embed -> pos -> encode."""
     tokens = tk.gather_rows(Tensor(grids), visible_indices)
     embedded = tk.add(cube_embed(tokens, params, visible_indices),
                       Tensor(params.pos_enc[visible_indices]))
-    encoded = encode(embedded, params)
-    return decode(encoded, visible_indices, params, rows)
+    return encode(embedded, params)
+
+
+def mae_loss_batch(grids: np.ndarray, visible_indices: np.ndarray, params: MAEParams,
+                   rows: np.ndarray, targets: np.ndarray) -> Tensor:
+    """tk.mse(mae_forward_batch(grids, visible_indices, params, rows), targets), bitwise.
+
+    targets is (B, K, 1536), the normalized pixels of the grid rows `rows`
+    (B, K). The pixel projection and the loss are one recorded op
+    (tk.pixel_mse), so the predictions are never a tensor of their own.
+    """
+    _check_batch(grids, params, visible_indices=visible_indices, rows=rows)
+    x = _decoder_rows(_encode_visible(grids, visible_indices, params), visible_indices,
+                      params, rows)
+    return tk.pixel_mse(x, params["out/w"].value, params["out/b"].value, rows, targets)
 
 
 def _stack_grids(clips, params: MAEParams) -> np.ndarray:
-    """The clips' cube grids stacked as (B, N, 1536), in the parameters' dtype."""
-    return np.stack([cubify(c).tokens for c in clips]).astype(params.pos_enc.dtype, copy=False)
+    """The clips' cube grids stacked as (B, N, 1536), in the parameters' dtype.
+
+    Raises DimensionError if the clips' grids differ."""
+    dims = {clip.grid_dims for clip in clips}
+    if len(dims) != 1:
+        raise DimensionError(f"clips of one batch need one grid, got {sorted(dims)}")
+    grids = np.empty((len(clips), math.prod(dims.pop()), CUBE_WIDTH), params.pos_enc.dtype)
+
+    def stack(ix):
+        for i in np.arange(len(clips))[ix]:
+            _cube_tokens(clips[i].pixels, grids[i])
+
+    tk._by_clips(stack, len(clips), grids[0].size)
+    return grids
 
 
 def clip_features(grids: np.ndarray, params: MAEParams) -> Tensor:

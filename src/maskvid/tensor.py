@@ -184,7 +184,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # slower, of 204,800 or more faster. linear and attention_block set their
 # units so that their crossovers fall on the same floor: a block of 48
 # encoder tokens (178,176 units a half at batch 4) was no faster split, one
-# of 88 or 96 tokens 7% faster.
+# of 88 or 96 tokens 7% faster. So do pixel_mse and the clip preparation: a
+# pixel loss half of one clip's 100 masked rows (153,600 entries) was no
+# faster split, of 184 rows (282,624) 7% faster; a half of 16-token clips
+# with targets (24,576 entries) was slower, of 32 tokens (49,152) faster; a
+# half of stacked grids was no faster below 200 tokens (307,200 entries).
 _SPLIT_FLOOR = 200_000
 _POOL: Optional[futures.ThreadPoolExecutor] = None
 
@@ -204,9 +208,12 @@ def _by_clips(fn: Callable, clips: int, per_clip: int):
     attention score entry. attention_block counts heads x N^2 + 3.5 x N x
     hidden + N x D x (4D + 2 hidden) / 64 per clip: its scores, its GELU
     elements at 3.5 each, and its GEMMs at 64 multiply-adds each. linear
-    counts rows x K x M / 32 per clip, none when K < 64. If the worker has
-    not started its half by the time this one is done (its core is busy
-    elsewhere), that half runs here too.
+    counts rows x K x M / 32 per clip, none when K < 64. pixel_mse counts
+    one per output entry, rows x M. Clip preparation counts per token entry
+    (N x 1536 a clip) one to stack cube grids (model._stack_grids) and five
+    to stack them with their normalized targets (training._clip_grids). If
+    the worker has not started its half by the time this one is done (its
+    core is busy elsewhere), that half runs here too.
 
     fn must call only numpy and scipy on array slices (which release the
     GIL), never maskvid's public functions or the tape, and write each clip
@@ -294,6 +301,31 @@ def _gelu_grads(x, cdf, g, gx):
     gx *= x
     gx += cdf
     np.multiply(g, gx, out=gx)
+
+
+def _sq_err(pred, t, diff, sq):
+    """pred - t into diff (which may be pred) and its square into sq."""
+    np.subtract(pred, t, out=diff)
+    np.multiply(diff, diff, out=sq)
+
+
+def _sq_err_grads(diff, scale, gp):
+    """diff * scale * 2 into gp: the gradient of the mean squared error when
+    scale is the upstream gradient over the number of entries."""
+    np.multiply(diff, scale, out=gp)
+    gp *= 2
+
+
+def _rows_bias_grad(g, rows) -> np.ndarray:
+    """A bias gradient summed as over the whole grid that `rows` (g.shape[:-1])
+    index: per grid row over the leading axes first, then over grid rows in
+    ascending order."""
+    d = g.shape[-1]
+    flat_g, flat_rows = g.reshape(-1, rows.shape[-1], d), rows.reshape(-1, rows.shape[-1])
+    per_row = np.zeros((int(flat_rows.max(initial=0)) + 1, d), dtype=g.dtype)
+    for gi, ri in zip(flat_g, flat_rows):
+        per_row[ri] += gi
+    return per_row.sum(axis=0)
 
 
 def _carve(dtype, *shapes) -> list:
@@ -410,15 +442,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -
         gb = None
         if gw is not None:
             gw = _unbroadcast(gw, w.shape)
-        if b.requires_grad and idx is None:
-            gb = _unbroadcast(g, b.shape)
-        elif b.requires_grad:
-            d = g.shape[-1]
-            flat_g, flat_rows = g.reshape(-1, idx.shape[-1], d), idx.reshape(-1, idx.shape[-1])
-            per_row = np.zeros((int(flat_rows.max(initial=0)) + 1, d), dtype=g.dtype)
-            for gi, ri in zip(flat_g, flat_rows):
-                per_row[ri] += gi
-            gb = per_row.sum(axis=0)
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.shape) if idx is None else _rows_bias_grad(g, idx)
         return gx, gw, gb
 
     return _record(Tensor(out), (x, w, b), bwd)
@@ -530,16 +555,66 @@ def mse(pred: Tensor, targets: np.ndarray) -> Tensor:
         raise DimensionError(f"mse: pred {pred.shape} vs targets {targets.shape}")
     if pred.size == 0:
         raise ContractError("mse needs at least one entry")
-    diff = pred.data - targets.astype(pred.dtype, copy=False)
-    n = diff.size
-    out = Tensor(np.array([(diff * diff).mean()], dtype=pred.dtype))
+    diff, sq = np.empty_like(pred.data), np.empty_like(pred.data)
+    _sq_err(pred.data, targets.astype(pred.dtype, copy=False), diff, sq)
+    out = Tensor(np.array([sq.mean()], dtype=pred.dtype))
 
     def bwd(g):
-        gp = diff * (g.reshape(-1)[0] / n)
-        gp *= 2
+        scale = g.reshape(-1)[0] / diff.size
+        gp = np.empty(diff.shape, np.result_type(diff, scale))
+        _sq_err_grads(diff, scale, gp)
         return (gp,)
 
     return _record(out, (pred,), bwd)
+
+
+def pixel_mse(x: Tensor, w: Tensor, b: Tensor, rows: np.ndarray, targets: np.ndarray) -> Tensor:
+    """mse(linear(x, w, b, rows), targets) as one recorded op, bitwise.
+
+    x is (B, K, D), the rows `rows` (B, K) of each clip's token grid; w, b
+    project them to targets' width. The forward and the backward each take
+    every clip through one _by_clips call: projection plus bias, minus
+    target, squared; then the scaled difference and the x and per-clip w
+    gradients. The mean of the squares, the sum of w's gradient over clips
+    and the rows-bias sum follow the join, in the composed ops' order.
+    """
+    xd, wd = x.data, w.data
+    idx = np.asarray(rows)
+    if (xd.ndim != 3 or wd.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]
+            or idx.shape != x.shape[:-1] or targets.shape != x.shape[:-1] + w.shape[1:]):
+        raise DimensionError(f"pixel_mse: x {x.shape}, w {w.shape}, b {b.shape}, "
+                             f"rows {idx.shape}, targets {targets.shape}")
+    if targets.size == 0:
+        raise ContractError("pixel_mse needs at least one entry")
+    clips, per_clip = xd.shape[0], math.prod(targets.shape[1:])
+    dt = np.result_type(xd, wd)
+    t = targets.astype(dt, copy=False)
+    diff, sq = np.empty(targets.shape, dt), np.empty(targets.shape, dt)
+
+    def forward(ix):
+        _affine(xd[ix], wd, b.data, diff[ix])
+        _sq_err(diff[ix], t[ix], diff[ix], sq[ix])
+
+    _by_clips(forward, clips, per_clip)
+    out = Tensor(np.array([sq.mean()], dtype=dt))
+
+    def bwd(g):
+        scale = g.reshape(-1)[0] / diff.size
+        gt = np.result_type(diff, scale)
+        gp = sq if sq.dtype == gt else np.empty(diff.shape, gt)  # the squares are spent
+        gx = np.empty(xd.shape, np.result_type(gp, wd)) if x.requires_grad else None
+        gw = np.empty((clips,) + wd.shape, np.result_type(xd, gp)) if w.requires_grad else None
+
+        def backward(ix):
+            _sq_err_grads(diff[ix], scale, gp[ix])
+            _affine_grads(xd[ix], wd, gp[ix], None if gx is None else gx[ix],
+                          None if gw is None else gw[ix])
+
+        _by_clips(backward, clips, per_clip)
+        return (gx, None if gw is None else _unbroadcast(gw, w.shape),
+                _rows_bias_grad(gp, idx) if b.requires_grad else None)
+
+    return _record(out, (x, w, b), bwd)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -17,9 +17,9 @@ from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .masking import MaskMap, make_mask
 from .model import (MAEParams, ModelConfig, _head_layout, _param_layout, _stack_grids,
                     clip_features, head_logits, init_head_params, init_mae_params,
-                    mae_forward_batch)
+                    mae_loss_batch)
 from .tensor import Param, Tape, Tensor
-from .video import VideoClip, cubify, normalize_cube_targets
+from .video import CUBE_WIDTH, _cube_tokens, _standardize
 
 
 @dataclass
@@ -412,22 +412,36 @@ class PretrainResult:
     aborted: bool = False
 
 
-def _clip_grids(dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Cube grids and normalized targets of every clip of a nonempty dataset,
-    each written into one (n, N, 1536) float32 array."""
-    grids = targets = None
-    for i, item in enumerate(dataset):
-        grid = cubify(item[0] if isinstance(item, tuple) else item)
-        if grids is None:
-            grids = np.empty((len(dataset),) + grid.tokens.shape, np.float32)
-            targets = np.empty_like(grids)
-        grids[i] = grid.tokens
-        targets[i] = normalize_cube_targets(grid).values
+def _clip_grids(clips: list, flip: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Cube grids and normalized targets (cubify, normalize_cube_targets) of
+    nonempty clips of one geometry, each written into one (n, N, 1536) float32
+    array; with flip, entry len(clips) + i is clip i mirrored left to right."""
+    pixels = [c.pixels for c in clips] + ([c.pixels[..., ::-1] for c in clips] if flip else [])
+    grids = np.empty((len(pixels), math.prod(clips[0].grid_dims), CUBE_WIDTH), np.float32)
+    targets = np.empty_like(grids)
+
+    def prepare(ix):
+        for i in np.arange(len(pixels))[ix]:
+            px = pixels[i]
+            if px.dtype == grids.dtype:
+                _cube_tokens(px, grids[i])
+                _standardize(grids[i], targets[i])
+            else:  # statistics in the clip's own dtype, then cast
+                tokens = np.empty(grids.shape[1:], px.dtype)
+                _cube_tokens(px, tokens)
+                values = np.empty_like(tokens)
+                _standardize(tokens, values)
+                grids[i], targets[i] = tokens, values
+
+    tk._by_clips(prepare, len(pixels), 5 * grids[0].size)
     return grids, targets
 
 
-def _flip_clip(clip: VideoClip) -> VideoClip:
-    return VideoClip(np.ascontiguousarray(clip.pixels[:, :, :, ::-1]))
+def _check_clip_grids(clips, dims: tuple, name: str, owner: str):
+    """ConfigError naming the first of clips whose cube grid is not dims."""
+    for i, clip in enumerate(clips):
+        if clip.grid_dims != dims:
+            raise ConfigError(f"{name} clip {i} has grid {clip.grid_dims}, the {owner} {dims}")
 
 
 def _make_checkpoint(params: MAEParams, extra_params: dict[str, Param] | None,
@@ -457,15 +471,16 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
     """
     if len(dataset) == 0:
         raise ContractError("pretrain needs a nonempty dataset")
+    clips = [item[0] if isinstance(item, tuple) else item for item in dataset]
+    params = params_from_checkpoint(resume) if resume is not None else None
+    model_cfg = model_cfg or (params.config if params else ModelConfig())
+    _check_clip_grids(clips, model_cfg.dims, "pretraining", "model")
     if resume is not None:
-        params = params_from_checkpoint(resume)
         if not resume.optim_m.keys() == resume.optim_v.keys() == params.params.keys():
             raise CheckpointError("resume needs AdamW moments for every parameter; this "
                                   f"checkpoint has them for {len(resume.optim_m)} of "
                                   f"{len(params.params)}")
-        model_cfg = model_cfg or params.config
     else:
-        model_cfg = model_cfg or ModelConfig()
         params = init_mae_params(model_cfg, seed=config.seed)
     config_snap = snapshot_config(model_cfg, config)
     if resume is not None:
@@ -484,12 +499,7 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
                           f"no visible token on the (T', S) = {mask_dims} grid")
 
     n = len(dataset)
-    grids, targets = _clip_grids(dataset)
-    if config.flip_augment:
-        # clip i mirrored is entry n + i
-        flipped = [_flip_clip(item[0] if isinstance(item, tuple) else item) for item in dataset]
-        fgrids, ftargets = _clip_grids(flipped)
-        grids, targets = np.concatenate([grids, fgrids]), np.concatenate([targets, ftargets])
+    grids, targets = _clip_grids(clips, config.flip_augment)  # clip i mirrored is entry n + i
 
     state = OptimState.for_params(params.values())
     start_step = 0
@@ -509,8 +519,7 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
         visible = np.stack([m.visible_indices for m in masks])
         masked = np.stack([m.masked_indices for m in masks])
         # masked_mse_loss, bitwise, without decoding the visible rows
-        pred = mae_forward_batch(grids[idx], visible, params, masked)
-        return tk.mse(pred, targets[idx[:, None], masked])
+        return mae_loss_batch(grids[idx], visible, params, masked, targets[idx[:, None], masked])
 
     trace, aborted = _train_steps(config, n, rng, list(params.values()), state, loss_of,
                                   start_step, stop_step)
@@ -607,10 +616,8 @@ def _supervised_params(checkpoint: Checkpoint | MAEParams, train_ds, eval_ds) ->
     params = (params_from_checkpoint(checkpoint)
               if isinstance(checkpoint, Checkpoint) else checkpoint)
     for name, ds in (("training", train_ds), ("eval", eval_ds)):
-        for i in range(len(ds)):
-            if ds[i][0].grid_dims != params.config.dims:
-                raise ConfigError(f"{name} clip {i} has grid {ds[i][0].grid_dims}, "
-                                  f"the checkpoint {params.config.dims}")
+        _check_clip_grids((ds[i][0] for i in range(len(ds))), params.config.dims, name,
+                          "checkpoint")
     top = max(train_ds[i][1] for i in range(len(train_ds)))
     if top >= params.config.num_classes:
         raise ConfigError(f"training label {top} needs model.num_classes > {top}, "

@@ -7,6 +7,7 @@ Cubes are fixed at 2x16x16 (time x height x width), so every token is a
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -76,18 +77,24 @@ class TargetCubes:
         return values * self.stds[:, None] + self.means[:, None]
 
 
+def _cube_tokens(pixels: np.ndarray, out: np.ndarray):
+    """The cube rows of (3, T, H, W) pixels written into out, (T'*H'*W', 1536)
+    in any float dtype: token-major (t', h', w'), cube-internal (channel,
+    time, row, col). cubify and the batched clip preparation share it."""
+    _, t, h, w = pixels.shape
+    tp, hp, wp = t // CUBE_T, h // CUBE_H, w // CUBE_W
+    x = pixels.reshape(3, tp, CUBE_T, hp, CUBE_H, wp, CUBE_W)
+    out.reshape(tp, hp, wp, 3, CUBE_T, CUBE_H, CUBE_W)[...] = x.transpose(1, 3, 5, 0, 2, 4, 6)
+
+
 def cubify(clip: VideoClip) -> CubeGrid:
-    """Partition a clip into non-overlapping 2x16x16 cubes, flattened per token."""
-    tp, hp, wp = clip.grid_dims
-    px = clip.pixels  # (3, T, H, W)
-    x = px.reshape(3, tp, CUBE_T, hp, CUBE_H, wp, CUBE_W)
-    # token-major (t', h', w'), cube-internal (channel, time, row, col)
-    x = x.transpose(1, 3, 5, 0, 2, 4, 6)
-    tokens = x.reshape(tp * hp * wp, CUBE_WIDTH)
-    # only a one-cube grid reshapes to a view; the tokens never alias the clip
-    if np.shares_memory(tokens, px):
-        tokens = tokens.copy()
-    return CubeGrid(tokens, (tp, hp, wp))
+    """Partition a clip into non-overlapping 2x16x16 cubes, flattened per token.
+
+    The tokens are a new array, never a view of the clip."""
+    dims = clip.grid_dims
+    tokens = np.empty((math.prod(dims), CUBE_WIDTH), clip.pixels.dtype)
+    _cube_tokens(clip.pixels, tokens)
+    return CubeGrid(tokens, dims)
 
 
 def decubify(grid: CubeGrid) -> VideoClip:
@@ -99,14 +106,23 @@ def decubify(grid: CubeGrid) -> VideoClip:
     return VideoClip(pixels)
 
 
-def normalize_cube_targets(grid: CubeGrid, eps: float = 1e-6) -> TargetCubes:
-    """Standardize each cube with its own mean and std (std + eps in the divisor)."""
+def _standardize(tokens: np.ndarray, out: np.ndarray, eps: float = 1e-6) -> tuple:
+    """Each row of (N, 1536) tokens minus its mean, over its std + eps, into
+    out of tokens' dtype; returns the (means, stds). normalize_cube_targets
+    and the batched clip preparation share it."""
     # float64 statistics: with float32 accumulation a constant cube has
     # rounding noise in the numerator that the eps divisor amplifies ~100x
-    means = grid.tokens.mean(axis=1, dtype=np.float64).astype(grid.tokens.dtype)
-    stds = grid.tokens.astype(np.float64).std(axis=1).astype(grid.tokens.dtype)
-    values = (grid.tokens - means[:, None]) / (stds[:, None] + eps)
-    return TargetCubes(values.astype(grid.tokens.dtype, copy=False), means, stds)
+    means = tokens.mean(axis=1, dtype=np.float64).astype(tokens.dtype)
+    stds = tokens.astype(np.float64).std(axis=1).astype(tokens.dtype)
+    np.subtract(tokens, means[:, None], out=out)
+    out /= stds[:, None] + eps
+    return means, stds
+
+
+def normalize_cube_targets(grid: CubeGrid, eps: float = 1e-6) -> TargetCubes:
+    """Standardize each cube with its own mean and std (std + eps in the divisor)."""
+    values = np.empty_like(grid.tokens)
+    return TargetCubes(values, *_standardize(grid.tokens, values, eps))
 
 
 @dataclass

@@ -208,6 +208,18 @@ def test_raw_clip_manifest_without_height_exits_one_without_traceback(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_raw_clip_of_another_grid_exits_one_before_pretraining_starts(tmp_path):
+    raw = tmp_path / "clip.raw"
+    np.zeros(3 * 16 * 64 * 64, dtype="<f4").tofile(raw)
+    (tmp_path / "clip.raw.manifest").write_text("channels=3\nframes=16\nheight=64\nwidth=64\n")
+    res = run_cli(["pretrain", "--set", f"data.raw_path={raw}", "--set", "model.dims=8,5,5"],
+                  tmp_path)
+    assert res.returncode == 1
+    assert "event=config_error" in res.stdout and "pretraining clip 0" in res.stdout
+    assert "event=pretrain_start" not in res.stdout
+    assert "Traceback" not in res.stderr
+
+
 def test_malformed_config_line_exits_one(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("train.total_steps 3\n")

@@ -8,7 +8,8 @@ from maskvid.errors import ConfigError, DimensionError
 from maskvid.masking import make_mask
 from maskvid.model import (ModelConfig, _even_split, _sincos_1d, classify, clip_features,
                            cube_embed, decode, encode, init_head_params, init_mae_params,
-                           mae_forward_batch, pos_embed_table, reconstruct, vit_base_config)
+                           mae_forward_batch, mae_loss_batch, pos_embed_table, reconstruct,
+                           vit_base_config)
 from maskvid.tensor import Tensor
 from maskvid.video import VideoClip, cubify, synth_moving_sprites
 
@@ -223,6 +224,12 @@ def test_mae_forward_rejects_geometry_mismatch():
         mae_forward_batch(tokens, visible, params, bad_rows)
     with pytest.raises(DimensionError, match="grids"):
         clip_features(tokens[:, :, :768], params)
+    with pytest.raises(DimensionError, match="rows"):
+        mae_loss_batch(tokens, visible, params, bad_rows, np.zeros(bad_rows.shape + (1536,)))
+    with pytest.raises(DimensionError, match="pixel_mse"):  # targets of the visible rows
+        mae_loss_batch(tokens, visible, params, masked, np.zeros(visible.shape + (1536,)))
+    with pytest.raises(DimensionError, match="one grid"):  # clips of two geometries
+        classify([clip, _clip(ModelConfig(dims=(8, 4, 5)))], params, init_head_params(cfg))
 
 
 # -- classification head ------------------------------------------------------

@@ -260,7 +260,8 @@ def _recording_primitives() -> set:
 def test_every_recording_primitive_has_a_gradient_check():
     from maskvid.gradsuite import primitive_checks
     recording = _recording_primitives()
-    assert {"linear", "attention_block", "gather_rows", "scatter_rows", "mse"} <= recording
+    assert {"linear", "attention_block", "gather_rows", "scatter_rows", "mse",
+            "pixel_mse"} <= recording
     assert recording <= set(primitive_checks())
 
 
@@ -504,6 +505,57 @@ def _serial_linear(x, w, b, rows=None):
         return gx, gw, gb
 
     return tk._record(Tensor(out), (x, w, b), bwd)
+
+
+def _serial_mse(pred, targets):
+    """tk.mse as out-of-place numpy expressions, recorded on the tape."""
+    diff = pred.data - targets.astype(pred.dtype, copy=False)
+    n = diff.size
+
+    def bwd(g):
+        gp = diff * (g.reshape(-1)[0] / n)
+        gp *= 2
+        return (gp,)
+
+    return tk._record(Tensor(np.array([(diff * diff).mean()], dtype=pred.dtype)), (pred,), bwd)
+
+
+@_PATHS
+@pytest.mark.parametrize("batch", [3, 4])
+@pytest.mark.parametrize("dtype,rows,k,m,grid", [(np.float32, 184, 32, 1536, 200),
+                                                 (np.float64, 7, 5, 6, 12)],
+                         ids=["float32_pixels", "float64_small"])
+def test_pixel_mse_is_bitwise_the_composed_linear_and_mse(monkeypatch, batch, dtype, rows, k, m,
+                                                         grid, floor):
+    # pretraining's head: (B, 184, 32) masked decoder rows of a 200-row grid
+    # projected to 1536 pixels; an odd batch splits into uneven halves
+    rng = np.random.default_rng(batch)
+    x0 = rng.standard_normal((batch, rows, k)).astype(dtype)
+    w0, b0 = rng.standard_normal((k, m)).astype(dtype), rng.standard_normal(m).astype(dtype)
+    targets = rng.standard_normal((batch, rows, m)).astype(dtype)
+    idx = np.sort(rng.random((batch, grid)).argsort(axis=-1)[:, :rows], axis=-1)
+
+    def run(loss):
+        x, w, b = (Param(a, name, dtype=dtype) for a, name in ((x0, "x"), (w0, "w"), (b0, "b")))
+        with Tape() as tape:
+            out = loss(x.value, w.value, b.value)
+            tape.backward(out)
+        return [(a.dtype, a.tobytes()) for a in (out.data, x.grad, w.grad, b.grad)]
+
+    expect = run(lambda x, w, b: _serial_mse(_serial_linear(x, w, b, idx), targets))
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
+    assert run(lambda x, w, b: tk.pixel_mse(x, w, b, idx, targets)) == expect
+
+
+def test_pixel_mse_rejects_mismatched_shapes_and_no_entries():
+    x, w, b = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 6))), Tensor(np.zeros(6))
+    rows = np.array([[0, 1, 2], [2, 3, 4]])
+    with pytest.raises(DimensionError):
+        tk.pixel_mse(x, w, b, rows, np.zeros((2, 3, 5)))
+    with pytest.raises(DimensionError):
+        tk.pixel_mse(x, w, b, rows[:, :2], np.zeros((2, 3, 6)))
+    with pytest.raises(ContractError):
+        tk.pixel_mse(Tensor(np.zeros((2, 0, 4))), w, b, rows[:, :0], np.zeros((2, 0, 6)))
 
 
 def _serial_gelu(x):

@@ -3,6 +3,7 @@
 import functools
 import importlib
 import inspect
+import math
 import os
 import sys
 import threading
@@ -14,16 +15,17 @@ from maskvid import tensor as tk
 from maskvid.errors import (CheckpointError, ConfigError, ContractError,
                             NumericError)
 from maskvid.masking import make_mask
-from maskvid.model import (ModelConfig, classify, cube_embed, decode, encode,
-                           init_head_params, init_mae_params, mae_forward_batch)
+from maskvid.model import (ModelConfig, _stack_grids, classify, cube_embed, decode, encode,
+                           init_head_params, init_mae_params, mae_forward_batch,
+                           mae_loss_batch)
 from maskvid.tensor import Param, Tape, Tensor
-from maskvid.training import (_EVAL_BATCH, Checkpoint, OptimState, TrainConfig,
+from maskvid.training import (_EVAL_BATCH, Checkpoint, _clip_grids, OptimState, TrainConfig,
                               _train_steps, adamw_step, cosine_warmup_lr, finetune,
                               layer_lr_scales, linear_probe, load_checkpoint,
                               masked_mse_loss, params_from_checkpoint, pretrain,
                               save_checkpoint, scaled_lr, snapshot_config,
                               write_loss_trace)
-from maskvid.video import cubify, normalize_cube_targets, synth_moving_sprites
+from maskvid.video import VideoClip, cubify, normalize_cube_targets, synth_moving_sprites
 
 DESK = ModelConfig()
 
@@ -108,10 +110,12 @@ def test_masked_row_path_is_bitwise_the_full_grid_path(strategy, ratio):
     full = loss_and_grads(full_grid)
     all_rows = loss_and_grads(lambda: masked_mse_loss(
         mae_forward_batch(tokens, visible, params), targets, masks))
+    masked_targets = targets[np.arange(len(clips))[:, None], masked]
     fast = loss_and_grads(lambda: tk.mse(
-        mae_forward_batch(tokens, visible, params, masked),
-        targets[np.arange(len(clips))[:, None], masked]))
-    for got in (all_rows, fast):
+        mae_forward_batch(tokens, visible, params, masked), masked_targets))
+    fused = loss_and_grads(lambda: mae_loss_batch(tokens, visible, params, masked,
+                                                  masked_targets))
+    for got in (all_rows, fast, fused):
         assert got[0] == full[0]
         assert [n for n in full[1] if got[1][n] != full[1][n]] == []
 
@@ -484,22 +488,24 @@ def test_supervised_steps_record_11_fine_tune_and_3_probe_tape_entries(monkeypat
     assert recorded == [entries, entries]
 
 
-def test_a_pretraining_step_records_16_tape_entries(monkeypatch):
-    # the 6 blocks (4 encoder, 2 decoder) of one entry each, and 10 ops
+def test_a_pretraining_step_records_15_tape_entries(monkeypatch):
+    # the 6 blocks (4 encoder, 2 decoder) of one entry each, and 9 ops
     # around them: embedding, positions, encoder norm, enc2dec, scatter,
-    # positions, decoder norm, masked-row gather, pixel projection, loss (the
-    # gather of raw visible cubes has a constant input and records nothing)
+    # positions, decoder norm, masked-row gather, and the pixel projection
+    # with its loss as one (the gather of raw visible cubes has a constant
+    # input and records nothing)
     recorded = _tape_lengths(monkeypatch)
     clips = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
     pretrain(TrainConfig(batch_size=4, total_steps=2, seed=0), clips,
              model_cfg=ModelConfig(dims=(8, 5, 5)))
-    assert recorded == [16, 16]
+    assert recorded == [15, 15]
 
 
 def test_maskvid_code_runs_only_on_the_main_thread(monkeypatch):
-    # the worker thread that computes half of a split block runs numpy
-    # alone: every public layer function and the tape stay on the caller's
-    # thread, as bench/tracer.py's span stack requires
+    # the worker thread that computes half of a split block, pixel loss or
+    # clip preparation runs numpy alone: every public layer function and the
+    # tape stay on the caller's thread, as bench/tracer.py's span stack
+    # requires
     threads = []
 
     def confined(fn):
@@ -531,7 +537,11 @@ def test_maskvid_code_runs_only_on_the_main_thread(monkeypatch):
                       TrainConfig(mode="finetune", batch_size=4, total_steps=1, seed=0))
     held_out = synth_moving_sprites(2, 16, **_ACCEPTANCE_SPRITES)
     classify([clip for clip, _ in held_out], result.params, result.head)
-    assert {name for name, _ in threads} >= {"attention_block", "Tape.record", "Tape.backward"}
+    pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0, flip_augment=True),
+             synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES),
+             model_cfg=ModelConfig(dims=(8, 5, 5)))
+    assert {name for name, _ in threads} >= {"attention_block", "pixel_mse", "Tape.record",
+                                              "Tape.backward"}
     assert [name for name, thread in threads if thread is not threading.main_thread()] == []
     if len(os.sched_getaffinity(0)) >= 2:
         assert tk._POOL is not None  # the fine-tune step and classify did split
@@ -539,9 +549,9 @@ def test_maskvid_code_runs_only_on_the_main_thread(monkeypatch):
 
 def test_tube_pretraining_splits_only_decoder_blocks_and_finetuning_more(monkeypatch,
                                                                            split_log):
-    # a tube-0.9 step splits its two 200-token decoder blocks, forward and
-    # backward; its 16-token encoder blocks and its other ops (the K=32
-    # pixel projection among them) stay on one core
+    # the 8 clips' preparation splits; a tube-0.9 step splits its two
+    # 200-token decoder blocks and its pixel loss, forward and backward; its
+    # 16-token encoder blocks and its other ops stay on one core
     forward_splits = []
     block = tk.attention_block
 
@@ -558,26 +568,28 @@ def test_tube_pretraining_splits_only_decoder_blocks_and_finetuning_more(monkeyp
         pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0), clips, model_cfg=cfg)
     assert forward_splits == [(f"enc/block{i}", 16, 0) for i in range(4)] + [
         (f"dec/block{i}", 200, 1) for i in range(2)]
-    assert split_log == ["attention_block"] * 4
+    assert split_log == (["_clip_grids"] + ["attention_block"] * 2 + ["pixel_mse"] * 2
+                         + ["attention_block"] * 2)
     split_log.clear()
     labelled = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
     finetune(init_mae_params(cfg, seed=0), labelled, labelled,
              TrainConfig(mode="finetune", batch_size=4, total_steps=1, seed=0))
-    assert set(split_log) == {"linear", "attention_block"}
+    assert set(split_log) == {"_stack_grids", "linear", "attention_block"}
 
 
-@pytest.mark.parametrize("runner,patched", [(finetune, "cubify"), (linear_probe, "encode")],
+@pytest.mark.parametrize("runner,patched", [(finetune, "_cube_tokens"), (linear_probe, "encode")],
                          ids=["finetune_cubify", "linear_probe_encode"])
 def test_eval_on_the_training_set_reuses_its_grids_and_probe_features(monkeypatch, runner,
                                                                       patched):
-    # fine-tuning cubifies each clip once; the probe's frozen encoder also
-    # encodes each clip once, for training and eval alike
+    # fine-tuning cubifies each clip once (_cube_tokens is cubify's kernel,
+    # one clip a call); the probe's frozen encoder also encodes each clip
+    # once, for training and eval alike
     from maskvid import model
     calls = []
     original = getattr(model, patched)
 
     def counted(x, *args):
-        calls.append(1 if patched == "cubify" else x.shape[0])
+        calls.append(1 if patched == "_cube_tokens" else x.shape[0])
         return original(x, *args)
 
     monkeypatch.setattr(model, patched, counted)
@@ -675,6 +687,48 @@ def test_pretrain_rejects_a_ratio_with_no_visible_token_before_setup(monkeypatch
     cfg = TrainConfig(mask_strategy=strategy, mask_ratio=ratio, total_steps=1)
     with pytest.raises(ConfigError, match=rf"{strategy}.*{ratio}.*\(8, 16\)"):
         pretrain(cfg, ds, model_cfg=DESK)
+
+
+@pytest.mark.parametrize("bad", ["other_size", "mixed_sizes"])
+def test_pretrain_rejects_a_clip_of_another_grid_before_setup(monkeypatch, bad):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("set-up ran before the clips' grids were checked")
+
+    for name in ("_clip_grids", "init_mae_params"):
+        monkeypatch.setattr(f"maskvid.training.{name}", no_setup)
+    ds = synth_moving_sprites(seed=0, count=4)  # (8, 4, 4)
+    if bad == "mixed_sizes":
+        ds.clips[2] = VideoClip(np.zeros((3, 16, 32, 64), np.float32))  # (8, 2, 4)
+    model_cfg = DESK if bad == "mixed_sizes" else ModelConfig(dims=(8, 5, 5))
+    clip = 2 if bad == "mixed_sizes" else 0
+    with pytest.raises(ConfigError, match=rf"pretraining clip {clip} has grid"):
+        pretrain(TrainConfig(total_steps=1), ds, model_cfg=model_cfg)
+
+
+@pytest.mark.parametrize("floor", [0, math.inf], ids=["split", "serial"])
+@pytest.mark.parametrize("pixels", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("size", [(16, 80, 80), (2, 16, 16)], ids=["8x5x5", "one_cube"])
+def test_clip_preparation_on_either_path_is_bitwise_cubify_and_normalize(monkeypatch, size,
+                                                                         pixels, floor):
+    # 5 clips split 3 + 2; with flip, 10 split 5 + 5
+    rng = np.random.default_rng(18)
+    clips = [VideoClip(rng.random((3, *size)).astype(pixels)) for _ in range(5)]
+    mirrored = [VideoClip(np.ascontiguousarray(c.pixels[..., ::-1])) for c in clips]
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
+    for flip in (False, True):
+        grids = [cubify(c) for c in clips + (mirrored if flip else [])]
+        got = _clip_grids(clips, flip)
+        assert got[0].dtype == got[1].dtype == np.float32
+        assert got[0].tobytes() == np.stack([g.tokens for g in grids]).astype(np.float32).tobytes()
+        assert got[1].tobytes() == np.stack(
+            [normalize_cube_targets(g).values for g in grids]).astype(np.float32).tobytes()
+    dims = clips[0].grid_dims
+    for dtype in (np.float32, np.float64):
+        params = init_mae_params(ModelConfig(dims=dims), seed=0, dtype=dtype)
+        stacked = _stack_grids(clips, params)
+        assert stacked.dtype == dtype
+        assert stacked.tobytes() == np.stack([cubify(c).tokens for c in clips]).astype(
+            dtype).tobytes()
 
 
 def test_snapshot_config_round_trips_model_geometry():

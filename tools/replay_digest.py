@@ -16,9 +16,10 @@ three print the same lines.
 The replay covers:
 - 150 pretraining steps at the (8,5,5) acceptance geometry (batch 4, seed 0,
   base_lr 0.64, the 16 noise-free acceptance sprites) for tube 0.9, random
-  0.9 and frame 0.875, and 30 for tube 0.5, whose 96-token encoder blocks
-  run half their clips on the worker thread: loss trace, all parameters,
-  both AdamW moments;
+  0.9 and frame 0.875, 30 for tube 0.5, whose 96-token encoder blocks
+  run half their clips on the worker thread, and 30 for tube 0.9 with
+  flip_augment, whose batches draw mirrored clips: loss trace, all
+  parameters, both AdamW moments;
 - a 40-step fine-tune and a 40-step linear probe from the saved and reloaded
   tube checkpoint, on 4 labelled clips and again on 3 of them (batch 4, so
   batches repeat clips), and on the 4 clips evaluated on themselves, the
@@ -59,6 +60,7 @@ GEOMETRY = ModelConfig(dims=(8, 5, 5))
 SPRITES = dict(noise_level=0.0, size=(16, 80, 80), sprite_extent=24)
 CELLS = (("tube", 0.9), ("random", 0.9), ("frame", 0.875))
 SPLIT_ENCODER_CELL = ("tube", 0.5)
+FLIP_CELL = ("tube", 0.9)
 
 
 def digest(*parts) -> str:
@@ -79,10 +81,11 @@ def emit(name: str, value: str):
     print(f"{name} {value}", flush=True)
 
 
-def replay_pretrain(dataset, name: str, strategy: str, ratio: float, steps: int):
+def replay_pretrain(dataset, name: str, strategy: str, ratio: float, steps: int,
+                    flip: bool = False):
     """One pretraining cell's digests; returns its checkpoint."""
     cfg = TrainConfig(mode="pretrain", total_steps=steps, base_lr=0.64, batch_size=4,
-                      mask_strategy=strategy, mask_ratio=ratio, seed=0)
+                      mask_strategy=strategy, mask_ratio=ratio, seed=0, flip_augment=flip)
     result = pretrain(cfg, dataset, model_cfg=GEOMETRY)
     ckpt = result.checkpoint
     emit(f"pretrain/{name}/trace", digest(result.trace))
@@ -102,6 +105,8 @@ def replay_training(workdir: str) -> str:
             save_checkpoint(ckpt, tube_path)
     strategy, ratio = SPLIT_ENCODER_CELL
     replay_pretrain(pre_ds, f"{strategy}{ratio}", strategy, ratio, 30)
+    strategy, ratio = FLIP_CELL
+    replay_pretrain(pre_ds, f"{strategy}{ratio}_flip", strategy, ratio, 30, flip=True)
 
     train_ds = synth_moving_sprites(1, 4, **SPRITES)
     eval_ds = synth_moving_sprites(2, 16, **SPRITES)
