@@ -1,15 +1,14 @@
 """Asymmetric encoder-decoder over cube tokens.
 
 The encoder embeds and sees only visible cubes; the decoder sees the full grid
-with a shared learnable token filling masked positions, and projects to pixels
-only the rows its caller asks for. Positional information is a fixed 3D
+with a shared learnable token filling masked positions, and pretraining's loss
+projects to pixels only the masked rows. Positional information is a fixed 3D
 separable sin/cos table added to the embedded visible cubes (encoder) and after
 scattering (decoder).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,8 @@ from . import tensor as tk
 from .errors import ConfigError, ContractError, DimensionError
 from .masking import MaskMap
 from .tensor import Param, Tensor
-from .video import (CUBE_WIDTH, CubeGrid, VideoClip, _cube_tokens, cubify, decubify,
-                    normalize_cube_targets)
+from .video import (CUBE_WIDTH, CubeGrid, VideoClip, cubify, decubify, normalize_cube_targets,
+                    stack_cubes)
 
 
 @dataclass
@@ -188,28 +187,22 @@ def encode(visible: Tensor, params: MAEParams) -> Tensor:
     return tk.layer_norm(x, params["enc/norm/g"].value, params["enc/norm/b"].value)
 
 
-def _decoder_rows(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
-                  rows: np.ndarray | None) -> Tensor:
-    """decode up to its pixel projection: the normed decoder rows `rows`, or all."""
+def _decoder_rows(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams) -> Tensor:
+    """decode up to its pixel projection: every normed decoder row."""
     cfg = params.config
     x = tk.linear(encoded, params["enc2dec/w"].value, params["enc2dec/b"].value)
     x = tk.scatter_rows(x, visible_indices, params["mask_token"].value, cfg.n_tokens)
     x = tk.add(x, Tensor(params.pos_dec))
     for i in range(cfg.depth_dec):
         x = tk.attention_block(x, params.params, f"dec/block{i}", cfg.heads_dec)
-    x = tk.layer_norm(x, params["dec/norm/g"].value, params["dec/norm/b"].value)
-    return x if rows is None else tk.gather_rows(x, rows)
+    return tk.layer_norm(x, params["dec/norm/g"].value, params["dec/norm/b"].value)
 
 
-def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams,
-           rows: np.ndarray | None = None) -> Tensor:
-    """Project to decoder width, scatter with mask tokens, run decoder, project to pixels.
-
-    Every grid row is projected to pixels, or only the rows `rows`
-    (encoded.shape[:-2] + (K,), unique along K) when given.
-    """
-    x = _decoder_rows(encoded, visible_indices, params, rows)
-    return tk.linear(x, params["out/w"].value, params["out/b"].value, rows)
+def decode(encoded: Tensor, visible_indices: np.ndarray, params: MAEParams) -> Tensor:
+    """Project to decoder width, scatter with mask tokens, run decoder, project
+    every grid row to pixels."""
+    x = _decoder_rows(encoded, visible_indices, params)
+    return tk.linear(x, params["out/w"].value, params["out/b"].value)
 
 
 def reconstruct(clip: VideoClip, mask: MaskMap, params: MAEParams) -> VideoClip:
@@ -231,68 +224,53 @@ def reconstruct(clip: VideoClip, mask: MaskMap, params: MAEParams) -> VideoClip:
     return decubify(CubeGrid(np.clip(pixels, 0.0, 1.0).astype(np.float32), cfg.dims))
 
 
-def _check_batch(grids: np.ndarray, params: MAEParams, **indices):
-    """grids must be (B, N, 1536) over the model's N tokens, each index array (B, K) rows of N."""
+def _check_batch(name: str, x: np.ndarray, k: int, params: MAEParams, **indices):
+    """x must be (B, k, 1536), each index array (B, K) rows of the model's N tokens."""
     n = params.config.n_tokens
-    if grids.ndim != 3 or grids.shape[1:] != (n, CUBE_WIDTH):
-        raise DimensionError(f"grids {grids.shape} are not (B, {n}, {CUBE_WIDTH}) "
-                             f"for model grid {params.config.dims}")
-    for name, idx in indices.items():
-        if idx is not None and (idx.ndim != 2 or len(idx) != len(grids)
-                                or (idx.size and not 0 <= idx.min() <= idx.max() < n)):
-            raise DimensionError(f"{name} {idx.shape} must be ({len(grids)}, K) rows in [0, {n})")
+    if x.ndim != 3 or x.shape[1:] != (k, CUBE_WIDTH):
+        raise DimensionError(f"{name} {x.shape} are not (B, {k}, {CUBE_WIDTH}) "
+                             f"on model grid {params.config.dims}")
+    b = len(x)
+    for key, idx in indices.items():
+        if idx.ndim != 2 or len(idx) != b or (idx.size and not 0 <= idx.min() <= idx.max() < n):
+            raise DimensionError(f"{key} {idx.shape} must be ({b}, K) rows in [0, {n})")
 
 
 def mae_forward_batch(grids: np.ndarray, visible_indices: np.ndarray,
-                      params: MAEParams, rows: np.ndarray | None = None) -> Tensor:
+                      params: MAEParams) -> Tensor:
     """gather visible cubes -> cube_embed -> pos -> encode -> decode.
 
     grids is (B, N, 1536), visible_indices (B, N_vis). Returns the pixel
-    predictions of every grid row, (B, N, 1536), or of the grid rows `rows`
-    (B, K) only, (B, K, 1536). Raises DimensionError on any other geometry
-    or on an index outside the grid.
+    predictions of every grid row, (B, N, 1536). Raises DimensionError on any
+    other geometry or on an index outside the grid.
     """
-    _check_batch(grids, params, visible_indices=visible_indices, rows=rows)
-    return decode(_encode_visible(grids, visible_indices, params), visible_indices, params, rows)
+    _check_batch("grids", grids, params.config.n_tokens, params, visible_indices=visible_indices)
+    cubes = grids[np.arange(len(grids))[:, None], visible_indices]
+    return decode(_encode_visible(cubes, visible_indices, params), visible_indices, params)
 
 
-def _encode_visible(grids: np.ndarray, visible_indices: np.ndarray, params: MAEParams) -> Tensor:
-    """gather visible cubes -> cube_embed -> pos -> encode."""
-    tokens = tk.gather_rows(Tensor(grids), visible_indices)
-    embedded = tk.add(cube_embed(tokens, params, visible_indices),
+def _encode_visible(cubes: np.ndarray, visible_indices: np.ndarray, params: MAEParams) -> Tensor:
+    """cube_embed the visible cubes -> pos -> encode."""
+    embedded = tk.add(cube_embed(Tensor(cubes), params, visible_indices),
                       Tensor(params.pos_enc[visible_indices]))
     return encode(embedded, params)
 
 
-def mae_loss_batch(grids: np.ndarray, visible_indices: np.ndarray, params: MAEParams,
+def mae_loss_batch(cubes: np.ndarray, visible_indices: np.ndarray, params: MAEParams,
                    rows: np.ndarray, targets: np.ndarray) -> Tensor:
-    """tk.mse(mae_forward_batch(grids, visible_indices, params, rows), targets), bitwise.
+    """The mean squared error of mae_forward_batch's predictions for the grid
+    rows `rows` (B, K) against targets (B, K, 1536), their normalized pixels.
 
-    targets is (B, K, 1536), the normalized pixels of the grid rows `rows`
-    (B, K). The pixel projection and the loss are one recorded op
-    (tk.pixel_mse), so the predictions are never a tensor of their own.
+    cubes is (B, N_vis, 1536), the clips' visible cubes in visible_indices'
+    order; the rest of the grid never reaches the encoder. The pixel
+    projection and the loss are one recorded op (tk.pixel_mse), so the
+    predictions are never a tensor of their own.
     """
-    _check_batch(grids, params, visible_indices=visible_indices, rows=rows)
-    x = _decoder_rows(_encode_visible(grids, visible_indices, params), visible_indices,
-                      params, rows)
+    _check_batch("cubes", cubes, visible_indices.shape[-1], params,
+                 visible_indices=visible_indices, rows=rows)
+    x = tk.gather_rows(_decoder_rows(_encode_visible(cubes, visible_indices, params),
+                                     visible_indices, params), rows)
     return tk.pixel_mse(x, params["out/w"].value, params["out/b"].value, rows, targets)
-
-
-def _stack_grids(clips, params: MAEParams) -> np.ndarray:
-    """The clips' cube grids stacked as (B, N, 1536), in the parameters' dtype.
-
-    Raises DimensionError if the clips' grids differ."""
-    dims = {clip.grid_dims for clip in clips}
-    if len(dims) != 1:
-        raise DimensionError(f"clips of one batch need one grid, got {sorted(dims)}")
-    grids = np.empty((len(clips), math.prod(dims.pop()), CUBE_WIDTH), params.pos_enc.dtype)
-
-    def stack(ix):
-        for i in np.arange(len(clips))[ix]:
-            _cube_tokens(clips[i].pixels, grids[i])
-
-    tk._by_clips(stack, len(clips), grids[0].size)
-    return grids
 
 
 def clip_features(grids: np.ndarray, params: MAEParams) -> Tensor:
@@ -301,7 +279,7 @@ def clip_features(grids: np.ndarray, params: MAEParams) -> Tensor:
     A clip's features do not depend on the other clips in its batch. Raises
     DimensionError on grids of any other geometry.
     """
-    _check_batch(grids, params)
+    _check_batch("grids", grids, params.config.n_tokens, params)
     embedded = tk.add(cube_embed(Tensor(grids), params), Tensor(params.pos_enc))
     return tk.mean_axis(encode(embedded, params), axis=-2)
 
@@ -318,7 +296,7 @@ def classify(clips, params: MAEParams, head: dict[str, Param]) -> Tensor:
     Accepts one VideoClip or a list; returns (num_classes,) or (B, num_classes).
     """
     single = isinstance(clips, VideoClip)
-    grids = _stack_grids([clips] if single else clips, params)
+    grids = stack_cubes([clips] if single else clips, params.pos_enc.dtype)
     logits = head_logits(clip_features(grids, params), head)
     if single:
         logits = tk.reshape(logits, (params.config.num_classes,))

@@ -184,11 +184,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # slower, of 204,800 or more faster. linear and attention_block set their
 # units so that their crossovers fall on the same floor: a block of 48
 # encoder tokens (178,176 units a half at batch 4) was no faster split, one
-# of 88 or 96 tokens 7% faster. So do pixel_mse and the clip preparation: a
+# of 88 or 96 tokens 7% faster. So do pixel_mse and video.stack_cubes: a
 # pixel loss half of one clip's 100 masked rows (153,600 entries) was no
 # faster split, of 184 rows (282,624) 7% faster; a half of 16-token clips
 # with targets (24,576 entries) was slower, of 32 tokens (49,152) faster; a
-# half of stacked grids was no faster below 200 tokens (307,200 entries).
+# half of bare cubes was no faster below 200 tokens (307,200 entries).
 _SPLIT_FLOOR = 200_000
 _POOL: Optional[futures.ThreadPoolExecutor] = None
 
@@ -209,11 +209,11 @@ def _by_clips(fn: Callable, clips: int, per_clip: int):
     hidden + N x D x (4D + 2 hidden) / 64 per clip: its scores, its GELU
     elements at 3.5 each, and its GEMMs at 64 multiply-adds each. linear
     counts rows x K x M / 32 per clip, none when K < 64. pixel_mse counts
-    one per output entry, rows x M. Clip preparation counts per token entry
-    (N x 1536 a clip) one to stack cube grids (model._stack_grids) and five
-    to stack them with their normalized targets (training._clip_grids). If
-    the worker has not started its half by the time this one is done (its
-    core is busy elsewhere), that half runs here too.
+    one per output entry, rows x M. video.stack_cubes counts per token
+    entry (N x 1536 a clip) one to stack cubes and five to stack them with
+    their normalized targets. If the worker has not started its half by
+    the time this one is done (its core is busy elsewhere), that half runs
+    here too.
 
     fn must call only numpy and scipy on array slices (which release the
     GIL), never maskvid's public functions or the tape, and write each clip

@@ -15,11 +15,10 @@ import numpy as np
 from . import tensor as tk
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
 from .masking import MaskMap, make_mask
-from .model import (MAEParams, ModelConfig, _head_layout, _param_layout, _stack_grids,
-                    clip_features, head_logits, init_head_params, init_mae_params,
-                    mae_loss_batch)
+from .model import (MAEParams, ModelConfig, _head_layout, _param_layout, clip_features,
+                    head_logits, init_head_params, init_mae_params, mae_loss_batch)
 from .tensor import Param, Tape, Tensor
-from .video import CUBE_WIDTH, _cube_tokens, _standardize
+from .video import VideoClip, stack_cubes
 
 
 @dataclass
@@ -412,31 +411,6 @@ class PretrainResult:
     aborted: bool = False
 
 
-def _clip_grids(clips: list, flip: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Cube grids and normalized targets (cubify, normalize_cube_targets) of
-    nonempty clips of one geometry, each written into one (n, N, 1536) float32
-    array; with flip, entry len(clips) + i is clip i mirrored left to right."""
-    pixels = [c.pixels for c in clips] + ([c.pixels[..., ::-1] for c in clips] if flip else [])
-    grids = np.empty((len(pixels), math.prod(clips[0].grid_dims), CUBE_WIDTH), np.float32)
-    targets = np.empty_like(grids)
-
-    def prepare(ix):
-        for i in np.arange(len(pixels))[ix]:
-            px = pixels[i]
-            if px.dtype == grids.dtype:
-                _cube_tokens(px, grids[i])
-                _standardize(grids[i], targets[i])
-            else:  # statistics in the clip's own dtype, then cast
-                tokens = np.empty(grids.shape[1:], px.dtype)
-                _cube_tokens(px, tokens)
-                values = np.empty_like(tokens)
-                _standardize(tokens, values)
-                grids[i], targets[i] = tokens, values
-
-    tk._by_clips(prepare, len(pixels), 5 * grids[0].size)
-    return grids, targets
-
-
 def _check_clip_grids(clips, dims: tuple, name: str, owner: str):
     """ConfigError naming the first of clips whose cube grid is not dims."""
     for i, clip in enumerate(clips):
@@ -499,7 +473,9 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
                           f"no visible token on the (T', S) = {mask_dims} grid")
 
     n = len(dataset)
-    grids, targets = _clip_grids(clips, config.flip_augment)  # clip i mirrored is entry n + i
+    if config.flip_augment:  # clip i mirrored left to right is entry n + i
+        clips += [VideoClip(c.pixels[..., ::-1]) for c in clips]
+    grids, targets = stack_cubes(clips, params.pos_enc.dtype, targets=True)
 
     state = OptimState.for_params(params.values())
     start_step = 0
@@ -519,7 +495,8 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
         visible = np.stack([m.visible_indices for m in masks])
         masked = np.stack([m.masked_indices for m in masks])
         # masked_mse_loss, bitwise, without decoding the visible rows
-        return mae_loss_batch(grids[idx], visible, params, masked, targets[idx[:, None], masked])
+        return mae_loss_batch(grids[idx[:, None], visible], visible, params, masked,
+                              targets[idx[:, None], masked])
 
     trace, aborted = _train_steps(config, n, rng, list(params.values()), state, loss_of,
                                   start_step, stop_step)
@@ -554,7 +531,7 @@ def _eval_accuracy(head: dict[str, Param], features: np.ndarray, labels: np.ndar
 
 def _grids_and_labels(dataset, params: MAEParams) -> tuple[np.ndarray, np.ndarray]:
     """The dataset's stacked cube grids, in the parameters' dtype, and its labels."""
-    grids = _stack_grids([dataset[i][0] for i in range(len(dataset))], params)
+    grids = stack_cubes([dataset[i][0] for i in range(len(dataset))], params.pos_enc.dtype)
     return grids, np.array([dataset[i][1] for i in range(len(dataset))])
 
 

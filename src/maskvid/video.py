@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as tk
 from .errors import DimensionError, GenerationError, SamplingError
 
 CUBE_T, CUBE_H, CUBE_W = 2, 16, 16
@@ -80,7 +81,7 @@ class TargetCubes:
 def _cube_tokens(pixels: np.ndarray, out: np.ndarray):
     """The cube rows of (3, T, H, W) pixels written into out, (T'*H'*W', 1536)
     in any float dtype: token-major (t', h', w'), cube-internal (channel,
-    time, row, col). cubify and the batched clip preparation share it."""
+    time, row, col). cubify and stack_cubes share it."""
     _, t, h, w = pixels.shape
     tp, hp, wp = t // CUBE_T, h // CUBE_H, w // CUBE_W
     x = pixels.reshape(3, tp, CUBE_T, hp, CUBE_H, wp, CUBE_W)
@@ -109,11 +110,11 @@ def decubify(grid: CubeGrid) -> VideoClip:
 def _standardize(tokens: np.ndarray, out: np.ndarray, eps: float = 1e-6) -> tuple:
     """Each row of (N, 1536) tokens minus its mean, over its std + eps, into
     out of tokens' dtype; returns the (means, stds). normalize_cube_targets
-    and the batched clip preparation share it."""
+    and stack_cubes share it."""
     # float64 statistics: with float32 accumulation a constant cube has
     # rounding noise in the numerator that the eps divisor amplifies ~100x
     means = tokens.mean(axis=1, dtype=np.float64).astype(tokens.dtype)
-    stds = tokens.astype(np.float64).std(axis=1).astype(tokens.dtype)
+    stds = tokens.std(axis=1, dtype=np.float64).astype(tokens.dtype)
     np.subtract(tokens, means[:, None], out=out)
     out /= stds[:, None] + eps
     return means, stds
@@ -123,6 +124,37 @@ def normalize_cube_targets(grid: CubeGrid, eps: float = 1e-6) -> TargetCubes:
     """Standardize each cube with its own mean and std (std + eps in the divisor)."""
     values = np.empty_like(grid.tokens)
     return TargetCubes(values, *_standardize(grid.tokens, values, eps))
+
+
+def stack_cubes(clips, dtype, targets: bool = False):
+    """The clips' cube rows (cubify) stacked as one (B, N, 1536) array of dtype,
+    and with targets also their normalized targets (normalize_cube_targets,
+    statistics in each clip's own dtype) as a second such array.
+
+    Raises DimensionError if the clips' grids differ."""
+    dims = {clip.grid_dims for clip in clips}
+    if len(dims) != 1:
+        raise DimensionError(f"clips of one batch need one grid, got {sorted(dims)}")
+    cubes = np.empty((len(clips), math.prod(dims.pop()), CUBE_WIDTH), dtype)
+    values = np.empty_like(cubes) if targets else None
+
+    def prepare(ix):
+        for i in np.arange(len(clips))[ix]:
+            px = clips[i].pixels
+            if values is None or px.dtype == cubes.dtype:
+                _cube_tokens(px, cubes[i])
+                if values is not None:
+                    _standardize(cubes[i], values[i])
+            else:  # statistics in the clip's own dtype, then cast
+                tokens = np.empty(cubes.shape[1:], px.dtype)
+                _cube_tokens(px, tokens)
+                normed = np.empty_like(tokens)
+                _standardize(tokens, normed)
+                cubes[i], values[i] = tokens, normed
+
+    # one unit per token entry to stack cubes, five to normalize them too
+    tk._by_clips(prepare, len(clips), (5 if targets else 1) * cubes[0].size)
+    return (cubes, values) if targets else cubes
 
 
 @dataclass

@@ -14,7 +14,8 @@ import pytest
 
 from maskvid.gradsuite import run_gradient_suite
 from maskvid.masking import leakage_probe, make_mask
-from maskvid.model import ModelConfig, init_mae_params, mae_forward_batch, vit_base_config
+from maskvid.model import (ModelConfig, init_mae_params, mae_forward_batch, mae_loss_batch,
+                           vit_base_config)
 from maskvid.tensor import Param, Tensor
 from maskvid.training import (OptimState, TrainConfig, adamw_step,
                               cosine_warmup_lr, finetune, load_checkpoint,
@@ -114,6 +115,36 @@ def test_loss_matches_brute_force_on_100_instances():
         got = masked_mse_loss(Tensor(pred), targets, mask).item()
         want = brute_force_masked_mse(pred, targets, mask)
         assert abs(got - want) < 1e-7
+
+
+def test_pretraining_loss_matches_brute_force_on_100_instances():
+    # mae_loss_batch, pretraining's own loss, on visible cubes and masked rows
+    # against a loop over the masked rows of the full-grid float64 forward
+    rng = np.random.default_rng(1)
+    for trial in range(100):
+        dims = (int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        cfg = ModelConfig(dims=dims, d_enc=8, depth_enc=1, heads_enc=2, d_dec=8, depth_dec=1,
+                          heads_dec=2)
+        params = init_mae_params(cfg, seed=trial, dtype=np.float64)
+        b = int(rng.integers(1, 4))
+        strategy = ("tube", "random", "frame")[trial % 3]
+        ratio = 0.5 if strategy == "frame" else 0.75
+        masks = [make_mask(strategy, (dims[0], cfg.spatial_sites), ratio, rng) for _ in range(b)]
+        visible = np.stack([m.visible_indices for m in masks])
+        masked = np.stack([m.masked_indices for m in masks])
+        grids = rng.random((b, cfg.n_tokens, 1536))
+        targets = rng.normal(size=(b, cfg.n_tokens, 1536))
+        clip = np.arange(b)[:, None]
+        got = mae_loss_batch(grids[clip, visible], visible, params, masked,
+                             targets[clip, masked]).item()
+        pred = mae_forward_batch(grids, visible, params).data
+        total, count = 0.0, 0
+        for i in range(b):
+            for row in masks[i].masked_indices:
+                for c in range(1536):
+                    total += (float(pred[i, row, c]) - float(targets[i, row, c])) ** 2
+                    count += 1
+        assert abs(got - total / count) < 1e-7
 
 
 # 5. Single-clip memorization ------------------------------------------------------

@@ -109,8 +109,6 @@ def test_desk_forward_shapes():
     mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
     out = mae_forward_batch(cubify(clip).tokens[None], mask.visible_indices[None], params)
     assert out.shape == (1, 128, 1536)
-    assert mae_forward_batch(cubify(clip).tokens[None], mask.visible_indices[None], params,
-                             mask.masked_indices[None]).shape == (1, 112, 1536)
     # rho=0.9 on 16 sites: round(14.4)=14 masked -> 2 visible sites, 16 tokens
     assert mask.n_visible == 16
 
@@ -212,6 +210,7 @@ def test_mae_forward_rejects_geometry_mismatch():
     bad_visible[0, -1] = cfg.n_tokens
     bad_rows = masked.copy()
     bad_rows[0, 0] = -1
+    cubes = tokens[:, visible[0]]
     with pytest.raises(DimensionError, match="grids"):
         mae_forward_batch(tokens[:, :64], visible, params)  # a grid of half the tokens
     with pytest.raises(DimensionError, match="grids"):
@@ -220,14 +219,18 @@ def test_mae_forward_rejects_geometry_mismatch():
         mae_forward_batch(tokens, bad_visible, params)
     with pytest.raises(DimensionError, match="visible_indices"):
         mae_forward_batch(tokens, visible[0], params)
-    with pytest.raises(DimensionError, match="rows"):
-        mae_forward_batch(tokens, visible, params, bad_rows)
     with pytest.raises(DimensionError, match="grids"):
         clip_features(tokens[:, :, :768], params)
     with pytest.raises(DimensionError, match="rows"):
-        mae_loss_batch(tokens, visible, params, bad_rows, np.zeros(bad_rows.shape + (1536,)))
+        mae_loss_batch(cubes, visible, params, bad_rows, np.zeros(bad_rows.shape + (1536,)))
     with pytest.raises(DimensionError, match="pixel_mse"):  # targets of the visible rows
-        mae_loss_batch(tokens, visible, params, masked, np.zeros(visible.shape + (1536,)))
+        mae_loss_batch(cubes, visible, params, masked, np.zeros(visible.shape + (1536,)))
+    # the loss takes only the visible cubes: the whole grid, a cube short of
+    # visible_indices' K, or cubes narrower than 1536 are each rejected
+    for bad_cubes in (tokens, cubes[:, 1:], cubes[..., :768]):
+        with pytest.raises(DimensionError, match="cubes"):
+            mae_loss_batch(bad_cubes, visible, params, masked,
+                           np.zeros(masked.shape + (1536,)))
     with pytest.raises(DimensionError, match="one grid"):  # clips of two geometries
         classify([clip, _clip(ModelConfig(dims=(8, 4, 5)))], params, init_head_params(cfg))
 

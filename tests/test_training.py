@@ -15,17 +15,18 @@ from maskvid import tensor as tk
 from maskvid.errors import (CheckpointError, ConfigError, ContractError,
                             NumericError)
 from maskvid.masking import make_mask
-from maskvid.model import (ModelConfig, _stack_grids, classify, cube_embed, decode, encode,
+from maskvid.model import (ModelConfig, classify, cube_embed, decode, encode,
                            init_head_params, init_mae_params, mae_forward_batch,
                            mae_loss_batch)
 from maskvid.tensor import Param, Tape, Tensor
-from maskvid.training import (_EVAL_BATCH, Checkpoint, _clip_grids, OptimState, TrainConfig,
+from maskvid.training import (_EVAL_BATCH, Checkpoint, OptimState, TrainConfig,
                               _train_steps, adamw_step, cosine_warmup_lr, finetune,
                               layer_lr_scales, linear_probe, load_checkpoint,
                               masked_mse_loss, params_from_checkpoint, pretrain,
                               save_checkpoint, scaled_lr, snapshot_config,
                               write_loss_trace)
-from maskvid.video import VideoClip, cubify, normalize_cube_targets, synth_moving_sprites
+from maskvid.video import (VideoClip, cubify, normalize_cube_targets, stack_cubes,
+                           synth_moving_sprites)
 
 DESK = ModelConfig()
 
@@ -110,12 +111,10 @@ def test_masked_row_path_is_bitwise_the_full_grid_path(strategy, ratio):
     full = loss_and_grads(full_grid)
     all_rows = loss_and_grads(lambda: masked_mse_loss(
         mae_forward_batch(tokens, visible, params), targets, masks))
-    masked_targets = targets[np.arange(len(clips))[:, None], masked]
-    fast = loss_and_grads(lambda: tk.mse(
-        mae_forward_batch(tokens, visible, params, masked), masked_targets))
-    fused = loss_and_grads(lambda: mae_loss_batch(tokens, visible, params, masked,
-                                                  masked_targets))
-    for got in (all_rows, fast, fused):
+    clip = np.arange(len(clips))[:, None]
+    fused = loss_and_grads(lambda: mae_loss_batch(tokens[clip, visible], visible, params, masked,
+                                                  targets[clip, masked]))
+    for got in (all_rows, fused):
         assert got[0] == full[0]
         assert [n for n in full[1] if got[1][n] != full[1][n]] == []
 
@@ -568,13 +567,32 @@ def test_tube_pretraining_splits_only_decoder_blocks_and_finetuning_more(monkeyp
         pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0), clips, model_cfg=cfg)
     assert forward_splits == [(f"enc/block{i}", 16, 0) for i in range(4)] + [
         (f"dec/block{i}", 200, 1) for i in range(2)]
-    assert split_log == (["_clip_grids"] + ["attention_block"] * 2 + ["pixel_mse"] * 2
+    assert split_log == (["stack_cubes"] + ["attention_block"] * 2 + ["pixel_mse"] * 2
                          + ["attention_block"] * 2)
     split_log.clear()
     labelled = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
     finetune(init_mae_params(cfg, seed=0), labelled, labelled,
              TrainConfig(mode="finetune", batch_size=4, total_steps=1, seed=0))
-    assert set(split_log) == {"_stack_grids", "linear", "attention_block"}
+    assert set(split_log) == {"stack_cubes", "linear", "attention_block"}
+
+
+def test_tube_pretraining_hands_the_loss_only_the_visible_cubes(monkeypatch):
+    # a tube-0.9 step at (8,5,5) gathers 16 of each clip's 200 cubes, those
+    # its mask leaves visible, and never copies the batch's whole grids
+    batches = []
+
+    def recorded(cubes, visible, *args):
+        batches.append((cubes.copy(), visible))
+        return mae_loss_batch(cubes, visible, *args)
+
+    monkeypatch.setattr("maskvid.training.mae_loss_batch", recorded)
+    clips = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
+    pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0), clips,
+             model_cfg=ModelConfig(dims=(8, 5, 5)))
+    [(cubes, visible)] = batches
+    assert cubes.shape == (4, 16, 1536) and visible.shape == (4, 16)
+    grids = stack_cubes(clips.clips, np.float32)
+    assert all(any(np.array_equal(cubes[b], g[visible[b]]) for g in grids) for b in range(4))
 
 
 @pytest.mark.parametrize("runner,patched", [(finetune, "_cube_tokens"), (linear_probe, "encode")],
@@ -584,15 +602,16 @@ def test_eval_on_the_training_set_reuses_its_grids_and_probe_features(monkeypatc
     # fine-tuning cubifies each clip once (_cube_tokens is cubify's kernel,
     # one clip a call); the probe's frozen encoder also encodes each clip
     # once, for training and eval alike
-    from maskvid import model
+    from maskvid import model, video
+    module = video if patched == "_cube_tokens" else model
     calls = []
-    original = getattr(model, patched)
+    original = getattr(module, patched)
 
     def counted(x, *args):
         calls.append(1 if patched == "_cube_tokens" else x.shape[0])
         return original(x, *args)
 
-    monkeypatch.setattr(model, patched, counted)
+    monkeypatch.setattr(module, patched, counted)
     params = init_mae_params(_tiny_cfg_64(), seed=0)
     ds = synth_moving_sprites(seed=0, count=8, noise_level=0.0)
     result = runner(params, ds, ds, TrainConfig(mode="finetune", batch_size=2, total_steps=2,
@@ -679,10 +698,10 @@ def test_pretrain_aborts_on_divergence_with_last_good_params():
 
 @pytest.mark.parametrize("strategy,ratio", [("tube", 0.99), ("random", 0.999), ("frame", 0.95)])
 def test_pretrain_rejects_a_ratio_with_no_visible_token_before_setup(monkeypatch, strategy, ratio):
-    def no_setup(dataset):
+    def no_setup(*args, **kwargs):
         raise AssertionError("cube grids were built before the ratio was checked")
 
-    monkeypatch.setattr("maskvid.training._clip_grids", no_setup)
+    monkeypatch.setattr("maskvid.training.stack_cubes", no_setup)
     ds = synth_moving_sprites(seed=0, count=4)  # (8, 4, 4): 8 slices of 16 sites
     cfg = TrainConfig(mask_strategy=strategy, mask_ratio=ratio, total_steps=1)
     with pytest.raises(ConfigError, match=rf"{strategy}.*{ratio}.*\(8, 16\)"):
@@ -694,7 +713,7 @@ def test_pretrain_rejects_a_clip_of_another_grid_before_setup(monkeypatch, bad):
     def no_setup(*args, **kwargs):
         raise AssertionError("set-up ran before the clips' grids were checked")
 
-    for name in ("_clip_grids", "init_mae_params"):
+    for name in ("stack_cubes", "init_mae_params"):
         monkeypatch.setattr(f"maskvid.training.{name}", no_setup)
     ds = synth_moving_sprites(seed=0, count=4)  # (8, 4, 4)
     if bad == "mixed_sizes":
@@ -710,25 +729,24 @@ def test_pretrain_rejects_a_clip_of_another_grid_before_setup(monkeypatch, bad):
 @pytest.mark.parametrize("size", [(16, 80, 80), (2, 16, 16)], ids=["8x5x5", "one_cube"])
 def test_clip_preparation_on_either_path_is_bitwise_cubify_and_normalize(monkeypatch, size,
                                                                          pixels, floor):
-    # 5 clips split 3 + 2; with flip, 10 split 5 + 5
+    # stack_cubes, with and without targets, in either dtype: 5 clips split
+    # 3 + 2; with flip (mirrored views, as pretraining builds them), 10
+    # split 5 + 5
     rng = np.random.default_rng(18)
     clips = [VideoClip(rng.random((3, *size)).astype(pixels)) for _ in range(5)]
     mirrored = [VideoClip(np.ascontiguousarray(c.pixels[..., ::-1])) for c in clips]
     monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
     for flip in (False, True):
+        batch = clips + ([VideoClip(c.pixels[..., ::-1]) for c in clips] if flip else [])
         grids = [cubify(c) for c in clips + (mirrored if flip else [])]
-        got = _clip_grids(clips, flip)
-        assert got[0].dtype == got[1].dtype == np.float32
-        assert got[0].tobytes() == np.stack([g.tokens for g in grids]).astype(np.float32).tobytes()
-        assert got[1].tobytes() == np.stack(
-            [normalize_cube_targets(g).values for g in grids]).astype(np.float32).tobytes()
-    dims = clips[0].grid_dims
-    for dtype in (np.float32, np.float64):
-        params = init_mae_params(ModelConfig(dims=dims), seed=0, dtype=dtype)
-        stacked = _stack_grids(clips, params)
-        assert stacked.dtype == dtype
-        assert stacked.tobytes() == np.stack([cubify(c).tokens for c in clips]).astype(
-            dtype).tobytes()
+        tokens = np.stack([g.tokens for g in grids])
+        values = np.stack([normalize_cube_targets(g).values for g in grids])
+        for dtype in (np.float32, np.float64):
+            stacked = stack_cubes(batch, dtype)
+            cubes, targets = stack_cubes(batch, dtype, targets=True)
+            assert stacked.dtype == cubes.dtype == targets.dtype == dtype
+            assert stacked.tobytes() == cubes.tobytes() == tokens.astype(dtype).tobytes()
+            assert targets.tobytes() == values.astype(dtype).tobytes()
 
 
 def test_snapshot_config_round_trips_model_geometry():
