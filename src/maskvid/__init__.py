@@ -1,5 +1,12 @@
 """Masked video autoencoding with tube masking, at desk scale."""
 
+import os
+
+# one BLAS thread unless the environment names a count: OpenBLAS's thread per core
+# competes with tensor._by_clips' worker (2 cores: a 50-step (8,5,5) fine-tune and
+# 64-clip eval took 3.5-3.9 s against 2.2 s); numpy must not be loaded yet
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (CheckpointError, ConfigError, ContractError,
                      DimensionError, GenerationError, MaskvidError,
                      NumericError, SamplingError)

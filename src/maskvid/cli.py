@@ -293,10 +293,7 @@ def run(argv) -> int:
     except NumericError as exc:
         _log("numeric_abort", error=str(exc))
         return 2
-    except MaskvidError as exc:
-        _log("config_error", error=str(exc))
-        return 1
-    except FileNotFoundError as exc:
+    except (MaskvidError, FileNotFoundError) as exc:
         _log("config_error", error=str(exc))
         return 1
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import types
 import typing
 from dataclasses import dataclass, fields
@@ -172,6 +173,14 @@ def layer_lr_scales(config: ModelConfig, decay: float) -> dict[str, float]:
 
 _CKPT_MAGIC = "maskvid-checkpoint-v1"
 _CKPT_MARKER = b"\n---\n"
+# tensor namespace -> the Checkpoint field it fills, in file order
+_CKPT_TENSORS = {"param/": "params", "optim/m/": "optim_m", "optim/v/": "optim_v"}
+# a tensor's entry; counts have at most 18 digits, so int() of each cannot fail
+_CKPT_TENSOR_LINE = re.compile("(" + "|".join(_CKPT_TENSORS) + r")(\S+) shape=((?:\d{1,18},)*"
+                               r"\d{1,18})? dtype=float32 offset=(\d{1,18}) sha256=(\S+)")
+# manifest key -> its parser and the type a valid line parses to; all but tensor must appear
+_CKPT_FIELDS = {"step": (int, int), "opt_step": (int, int), "rng": (json.loads, dict),
+                "payload_bytes": (int, int), "tensor": (_CKPT_TENSOR_LINE.fullmatch, re.Match)}
 
 
 @dataclass
@@ -275,95 +284,75 @@ def params_from_checkpoint(ckpt: Checkpoint) -> MAEParams:
 
 def save_checkpoint(ckpt: Checkpoint, path: str):
     """Plain-text manifest + raw little-endian float32 payload, written atomically."""
-    names = sorted(ckpt.params)
-    entries = [("param/" + n, ckpt.params[n]) for n in names]
-    entries += [("optim/m/" + n, ckpt.optim_m[n]) for n in sorted(ckpt.optim_m)]
-    entries += [("optim/v/" + n, ckpt.optim_v[n]) for n in sorted(ckpt.optim_v)]
-    header = [_CKPT_MAGIC,
-              f"step={ckpt.step}",
-              f"opt_step={ckpt.opt_step}",
+    header = [_CKPT_MAGIC, f"step={ckpt.step}", f"opt_step={ckpt.opt_step}",
               "rng=" + json.dumps(ckpt.rng_state, sort_keys=True)]
-    for key in sorted(ckpt.config):
-        header.append(f"config.{key}={ckpt.config[key]}")
-    payload = bytearray()
-    for name, arr in entries:
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        digest = hashlib.sha256(raw).hexdigest()
-        shape = ",".join(str(s) for s in arr.shape)
-        header.append(
-            f"tensor={name} shape={shape} dtype=float32 offset={len(payload)} sha256={digest}"
-        )
-        payload.extend(raw)
-    header.append(f"payload_bytes={len(payload)}")
-    blob = "\n".join(header).encode() + _CKPT_MARKER + bytes(payload)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    header += [f"config.{key}={ckpt.config[key]}" for key in sorted(ckpt.config)]
+    buffers, offset = [], 0
+    for prefix, field in _CKPT_TENSORS.items():
+        arrays = getattr(ckpt, field)
+        for name in sorted(arrays):
+            raw = np.ascontiguousarray(arrays[name], dtype="<f4")
+            header.append(f"tensor={prefix}{name} shape={','.join(map(str, arrays[name].shape))} "
+                          f"dtype=float32 offset={offset} sha256={hashlib.sha256(raw).hexdigest()}")
+            buffers.append(raw)
+            offset += raw.nbytes
+    header.append(f"payload_bytes={offset}")
+    with open(path + ".tmp", "wb") as fh:
+        fh.write("\n".join(header).encode() + _CKPT_MARKER)
+        fh.writelines(buffers)
+    os.replace(path + ".tmp", path)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """A malformed file raises CheckpointError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     pos = blob.find(_CKPT_MARKER)
     if pos < 0:
         raise CheckpointError(f"{path}: header marker not found (truncated file?)")
-    header = blob[:pos].decode()
-    payload = blob[pos + len(_CKPT_MARKER):]
-    lines = header.split("\n")
+    try:
+        lines = blob[:pos].decode().split("\n")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: header is not UTF-8") from None
     if lines[0] != _CKPT_MAGIC:
         raise CheckpointError(f"{path}: bad magic line {lines[0]!r}")
-    step = opt_step = None
-    rng_state = None
-    config: dict[str, str] = {}
-    tensors = []
-    payload_bytes = None
+    manifest, config, tensors = {}, {}, []
     for line in lines[1:]:
         key, _, val = line.partition("=")
-        if key == "step":
-            step = int(val)
-        elif key == "opt_step":
-            opt_step = int(val)
-        elif key == "rng":
-            rng_state = json.loads(val)
-        elif key.startswith("config."):
+        if key.startswith("config."):
             config[key[len("config."):]] = val
-        elif key == "tensor":
-            fields = dict(f.split("=", 1) for f in ("name=" + val).split(" "))
-            tensors.append(fields)
-        elif key == "payload_bytes":
-            payload_bytes = int(val)
-        else:
+            continue
+        if key not in _CKPT_FIELDS:
             raise CheckpointError(f"{path}: unknown manifest key {key!r}")
-    for req, name in ((step, "step"), (opt_step, "opt_step"), (rng_state, "rng"),
-                      (payload_bytes, "payload_bytes")):
-        if req is None:
-            raise CheckpointError(f"{path}: manifest missing field {name!r}")
-    if len(payload) != payload_bytes:
-        raise CheckpointError(
-            f"{path}: payload is {len(payload)} bytes, manifest says {payload_bytes}"
-        )
-    params, optim_m, optim_v = {}, {}, {}
-    for t in tensors:
-        shape = tuple(int(s) for s in t["shape"].split(",")) if t["shape"] else ()
-        nbytes = int(np.prod(shape)) * 4
-        offset = int(t["offset"])
-        raw = payload[offset:offset + nbytes]
-        if len(raw) != nbytes:
-            raise CheckpointError(f"{path}: tensor {t['name']} payload truncated")
-        if hashlib.sha256(raw).hexdigest() != t["sha256"]:
-            raise CheckpointError(f"{path}: tensor {t['name']} failed its content hash")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-        name = t["name"]
-        if name.startswith("param/"):
-            params[name[len("param/"):]] = arr
-        elif name.startswith("optim/m/"):
-            optim_m[name[len("optim/m/"):]] = arr
-        elif name.startswith("optim/v/"):
-            optim_v[name[len("optim/v/"):]] = arr
+        parse, kind = _CKPT_FIELDS[key]
+        try:
+            value = parse(val)
+        except (ValueError, RecursionError):
+            value = None
+        if not isinstance(value, kind):
+            raise CheckpointError(f"{path}: malformed manifest line {line[:80]!r}")
+        if key == "tensor":
+            tensors.append(value.groups())
         else:
-            raise CheckpointError(f"{path}: unknown tensor namespace {name!r}")
-    return Checkpoint(params, optim_m, optim_v, opt_step, step, config, rng_state)
+            manifest[key] = value
+    for name in _CKPT_FIELDS:
+        if name not in manifest and name != "tensor":
+            raise CheckpointError(f"{path}: manifest missing field {name!r}")
+    payload = memoryview(blob)[pos + len(_CKPT_MARKER):]
+    if len(payload) != manifest["payload_bytes"]:
+        raise CheckpointError(f"{path}: payload is {len(payload)} bytes, manifest says "
+                              f"{manifest['payload_bytes']}")
+    arrays = {field: {} for field in _CKPT_TENSORS.values()}
+    for prefix, name, shape, offset, digest in tensors:
+        shape = tuple(map(int, shape.split(","))) if shape else ()
+        raw = payload[int(offset):int(offset) + 4 * math.prod(shape)]
+        if len(raw) != 4 * math.prod(shape):
+            raise CheckpointError(f"{path}: tensor {prefix}{name} payload truncated")
+        if hashlib.sha256(raw).hexdigest() != digest:
+            raise CheckpointError(f"{path}: tensor {prefix}{name} failed its content hash")
+        arrays[_CKPT_TENSORS[prefix]][name] = np.frombuffer(raw, "<f4").reshape(shape).copy()
+    return Checkpoint(**arrays, opt_step=manifest["opt_step"], step=manifest["step"],
+                      config=config, rng_state=manifest["rng"])
 
 
 # -- training loops ---------------------------------------------------------------
@@ -449,20 +438,26 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
     params = params_from_checkpoint(resume) if resume is not None else None
     model_cfg = model_cfg or (params.config if params else ModelConfig())
     _check_clip_grids(clips, model_cfg.dims, "pretraining", "model")
-    if resume is not None:
+    config_snap = snapshot_config(model_cfg, config)
+    rng = np.random.default_rng(config.seed)
+    if resume is None:
+        params = init_mae_params(model_cfg, seed=config.seed)
+        state, start_step = OptimState.for_params(params.values()), 0
+    else:
         if not resume.optim_m.keys() == resume.optim_v.keys() == params.params.keys():
             raise CheckpointError("resume needs AdamW moments for every parameter; this "
                                   f"checkpoint has them for {len(resume.optim_m)} of "
                                   f"{len(params.params)}")
-    else:
-        params = init_mae_params(model_cfg, seed=config.seed)
-    config_snap = snapshot_config(model_cfg, config)
-    if resume is not None:
         differ = sorted(k for k in config_snap.keys() | resume.config.keys()
                         if config_snap.get(k) != resume.config.get(k))
         if differ:
             raise ConfigError("resume under a different config: " + ", ".join(
                 f"{k} {resume.config.get(k)} -> {config_snap.get(k)}" for k in differ))
+        state = OptimState(m={k: v.copy() for k, v in resume.optim_m.items()},
+                           v={k: v.copy() for k, v in resume.optim_v.items()},
+                           step=resume.opt_step)
+        start_step = resume.step
+        rng.bit_generator.state = resume.rng_state
 
     mask_dims = (model_cfg.dims[0], model_cfg.spatial_sites)
     # counts are exact per strategy, so one throwaway draw tells, and the
@@ -476,16 +471,6 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
     if config.flip_augment:  # clip i mirrored left to right is entry n + i
         clips += [VideoClip(c.pixels[..., ::-1]) for c in clips]
     grids, targets = stack_cubes(clips, params.pos_enc.dtype, targets=True)
-
-    state = OptimState.for_params(params.values())
-    start_step = 0
-    rng = np.random.default_rng(config.seed)
-    if resume is not None:
-        state = OptimState(m={k: v.copy() for k, v in resume.optim_m.items()},
-                           v={k: v.copy() for k, v in resume.optim_v.items()},
-                           step=resume.opt_step)
-        start_step = resume.step
-        rng.bit_generator.state = resume.rng_state
 
     def loss_of(idx):
         masks = [make_mask(config.mask_strategy, mask_dims, config.mask_ratio, rng)

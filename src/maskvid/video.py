@@ -107,14 +107,19 @@ def decubify(grid: CubeGrid) -> VideoClip:
     return VideoClip(pixels)
 
 
-def _standardize(tokens: np.ndarray, out: np.ndarray, eps: float = 1e-6) -> tuple:
+def _standardize(tokens: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                 eps: float = 1e-6) -> tuple:
     """Each row of (N, 1536) tokens minus its mean, over its std + eps, into
-    out of tokens' dtype; returns the (means, stds). normalize_cube_targets
-    and stack_cubes share it."""
-    # float64 statistics: with float32 accumulation a constant cube has
-    # rounding noise in the numerator that the eps divisor amplifies ~100x
-    means = tokens.mean(axis=1, dtype=np.float64).astype(tokens.dtype)
-    stds = tokens.std(axis=1, dtype=np.float64).astype(tokens.dtype)
+    out of tokens' dtype, the deviations into float64 scratch of tokens' shape;
+    returns the (means, stds). normalize_cube_targets and stack_cubes share it."""
+    # float64 statistics, op for op numpy's mean and std(dtype=np.float64): with
+    # float32 accumulation a constant cube has rounding noise in the numerator
+    # that the eps divisor amplifies ~100x
+    means = np.add.reduce(tokens, axis=1, dtype=np.float64, keepdims=True) / tokens.shape[1]
+    np.subtract(tokens, means, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    stds = np.sqrt(np.add.reduce(scratch, axis=1) / tokens.shape[1]).astype(tokens.dtype)
+    means = means[:, 0].astype(tokens.dtype)
     np.subtract(tokens, means[:, None], out=out)
     out /= stds[:, None] + eps
     return means, stds
@@ -122,8 +127,8 @@ def _standardize(tokens: np.ndarray, out: np.ndarray, eps: float = 1e-6) -> tupl
 
 def normalize_cube_targets(grid: CubeGrid, eps: float = 1e-6) -> TargetCubes:
     """Standardize each cube with its own mean and std (std + eps in the divisor)."""
-    values = np.empty_like(grid.tokens)
-    return TargetCubes(values, *_standardize(grid.tokens, values, eps))
+    values, scratch = np.empty_like(grid.tokens), np.empty_like(grid.tokens, np.float64)
+    return TargetCubes(values, *_standardize(grid.tokens, values, scratch, eps))
 
 
 def stack_cubes(clips, dtype, targets: bool = False):
@@ -137,19 +142,22 @@ def stack_cubes(clips, dtype, targets: bool = False):
         raise DimensionError(f"clips of one batch need one grid, got {sorted(dims)}")
     cubes = np.empty((len(clips), math.prod(dims.pop()), CUBE_WIDTH), dtype)
     values = np.empty_like(cubes) if targets else None
+    # the float64 scratch of the statistics, one for each half
+    scratch = np.empty((2, *cubes.shape[1:])) if targets else [None, None]
 
     def prepare(ix):
+        here = scratch[int(isinstance(ix, slice) and ix.start > 0)]
         for i in np.arange(len(clips))[ix]:
             px = clips[i].pixels
             if values is None or px.dtype == cubes.dtype:
                 _cube_tokens(px, cubes[i])
                 if values is not None:
-                    _standardize(cubes[i], values[i])
+                    _standardize(cubes[i], values[i], here)
             else:  # statistics in the clip's own dtype, then cast
                 tokens = np.empty(cubes.shape[1:], px.dtype)
                 _cube_tokens(px, tokens)
                 normed = np.empty_like(tokens)
-                _standardize(tokens, normed)
+                _standardize(tokens, normed, here)
                 cubes[i], values[i] = tokens, normed
 
     # one unit per token entry to stack cubes, five to normalize them too

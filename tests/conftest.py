@@ -5,6 +5,10 @@ from concurrent import futures
 
 import pytest
 
+# one BLAS thread, as importing maskvid sets it, before any test module
+# imports numpy; subprocesses inherit it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 

@@ -122,6 +122,30 @@ def test_corrupt_checkpoint_header_exits_one_without_traceback(tmp_path, key, ra
     assert "Traceback" not in res.stderr
 
 
+# (name, old header bytes, new header bytes): one malformed manifest each
+_MALFORMED_MANIFESTS = [("step", b"\nstep=3\n", b"\nstep=abc\n"),
+                        ("rng", b"\nrng={", b"\nrng=not json {"),
+                        ("sha256", b" sha256=", b" sha="),
+                        ("shape", b" shape=", b" shape=x,"),
+                        ("utf8", b"maskvid-", b"\xffmaskvid-")]
+
+
+@pytest.mark.parametrize("old,new", [m[1:] for m in _MALFORMED_MANIFESTS],
+                         ids=[m[0] for m in _MALFORMED_MANIFESTS])
+def test_malformed_checkpoint_manifest_exits_one_without_traceback(tmp_path, old, new):
+    ckpt_path = str(_pretrain(tmp_path) / "checkpoint.ckpt")
+    with open(ckpt_path, "rb") as fh:
+        header, marker, payload = fh.read().partition(b"\n---\n")
+    assert old in header
+    with open(ckpt_path, "wb") as fh:
+        fh.write(header.replace(old, new, 1) + marker + payload)
+    res = run_cli(["probe", "--checkpoint", ckpt_path, "--out", str(tmp_path / "probe")],
+                  tmp_path)
+    assert res.returncode == 1
+    assert "event=config_error" in res.stdout and ckpt_path in res.stdout
+    assert "Traceback" not in res.stderr
+
+
 def test_checkpoint_whose_tensors_disagree_with_its_header_exits_one(tmp_path):
     ckpt_path = str(_pretrain(tmp_path) / "checkpoint.ckpt")  # d_enc 16
     ckpt = load_checkpoint(ckpt_path)

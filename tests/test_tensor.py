@@ -5,6 +5,8 @@ import math
 import os
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent import futures
@@ -475,6 +477,18 @@ def test_a_forked_child_splits_attention_without_hanging(monkeypatch):
     os.kill(pid, signal.SIGKILL)
     os.waitpid(pid, 0)
     pytest.fail("the forked child did not finish a split attention within 10 s")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc and two usable cores")
+def test_importing_maskvid_leaves_blas_one_thread(monkeypatch, src_on_child_pythonpath):
+    # OpenBLAS would start a thread per core, which compete with the split's
+    # worker; with no count in the environment, maskvid asks for one
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    code = "import os, maskvid, numpy; print(len(os.listdir('/proc/self/task')))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "1"
 
 
 def _serial_linear(x, w, b, rows=None):

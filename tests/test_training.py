@@ -1,8 +1,10 @@
 """Tests for the loss, optimizer, schedule, checkpointing, and training loops."""
 
 import functools
+import hashlib
 import importlib
 import inspect
+import json
 import math
 import os
 import sys
@@ -10,6 +12,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskvid import tensor as tk
 from maskvid.errors import (CheckpointError, ConfigError, ContractError,
@@ -20,8 +24,8 @@ from maskvid.model import (ModelConfig, classify, cube_embed, decode, encode,
                            mae_loss_batch)
 from maskvid.tensor import Param, Tape, Tensor
 from maskvid.training import (_EVAL_BATCH, Checkpoint, OptimState, TrainConfig,
-                              _train_steps, adamw_step, cosine_warmup_lr, finetune,
-                              layer_lr_scales, linear_probe, load_checkpoint,
+                              _make_checkpoint, _train_steps, adamw_step, cosine_warmup_lr,
+                              finetune, layer_lr_scales, linear_probe, load_checkpoint,
                               masked_mse_loss, params_from_checkpoint, pretrain,
                               save_checkpoint, scaled_lr, snapshot_config,
                               write_loss_trace)
@@ -257,13 +261,15 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     (result, cfg, _), path = _small_pretrain(tmp_path), str(tmp_path / "ck.bin")
     save_checkpoint(result.checkpoint, path)
     back = load_checkpoint(path)
-    assert back.step == result.checkpoint.step
+    assert (back.step, back.opt_step) == (result.checkpoint.step, result.checkpoint.opt_step)
     assert back.config == result.checkpoint.config
     assert back.rng_state == result.checkpoint.rng_state
-    for name, arr in result.checkpoint.params.items():
-        np.testing.assert_array_equal(back.params[name], arr)
-    for name, arr in result.checkpoint.optim_m.items():
-        np.testing.assert_array_equal(back.optim_m[name], arr)
+    for field in ("params", "optim_m", "optim_v"):
+        saved, loaded = getattr(result.checkpoint, field), getattr(back, field)
+        assert loaded.keys() == saved.keys()
+        for name, arr in saved.items():
+            assert loaded[name].dtype == np.float32 and loaded[name].flags.owndata
+            assert loaded[name].tobytes() == arr.tobytes()
 
 
 def test_checkpoint_truncation_detected(tmp_path):
@@ -293,6 +299,87 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         fh.write(b"something else entirely\n---\n")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def _reference_save_checkpoint(ckpt: Checkpoint, path: str):
+    """The format's reference writer, from before save_checkpoint streamed its
+    buffers: three namespace lists, header and payload built in memory, one write."""
+    names = sorted(ckpt.params)
+    entries = [("param/" + n, ckpt.params[n]) for n in names]
+    entries += [("optim/m/" + n, ckpt.optim_m[n]) for n in sorted(ckpt.optim_m)]
+    entries += [("optim/v/" + n, ckpt.optim_v[n]) for n in sorted(ckpt.optim_v)]
+    header = ["maskvid-checkpoint-v1",
+              f"step={ckpt.step}",
+              f"opt_step={ckpt.opt_step}",
+              "rng=" + json.dumps(ckpt.rng_state, sort_keys=True)]
+    for key in sorted(ckpt.config):
+        header.append(f"config.{key}={ckpt.config[key]}")
+    payload = bytearray()
+    for name, arr in entries:
+        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        digest = hashlib.sha256(raw).hexdigest()
+        shape = ",".join(str(s) for s in arr.shape)
+        header.append(
+            f"tensor={name} shape={shape} dtype=float32 offset={len(payload)} sha256={digest}"
+        )
+        payload.extend(raw)
+    header.append(f"payload_bytes={len(payload)}")
+    blob = "\n".join(header).encode() + b"\n---\n" + bytes(payload)
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+def _finetune_checkpoint(pretrained: Checkpoint) -> Checkpoint:
+    """A checkpoint as `maskvid finetune` writes one: encoder, head, no moments."""
+    params = params_from_checkpoint(pretrained)
+    return _make_checkpoint(params, init_head_params(params.config), OptimState.for_params([]),
+                            3, snapshot_config(params.config, TrainConfig(mode="finetune")),
+                            np.random.default_rng(5))
+
+
+def test_checkpoint_files_are_byte_for_byte_the_fixed_format(tmp_path):
+    pretrained = _small_pretrain(tmp_path)[0].checkpoint
+    finetuned = _finetune_checkpoint(pretrained)
+    assert pretrained.optim_v and finetuned.optim_m == finetuned.optim_v == {}
+    for kind, ckpt in (("pretrain", pretrained), ("finetune", finetuned)):
+        want, got, again = (tmp_path / f"{kind}-{tag}.ckpt" for tag in "abc")
+        _reference_save_checkpoint(ckpt, str(want))
+        save_checkpoint(ckpt, str(got))
+        save_checkpoint(load_checkpoint(str(got)), str(again))  # load, then save
+        assert got.read_bytes() == want.read_bytes(), kind
+        assert again.read_bytes() == want.read_bytes(), kind
+        assert sorted(p.name for p in tmp_path.glob(f"{kind}-*")) == [
+            f"{kind}-{tag}.ckpt" for tag in "abc"]  # no .tmp left behind
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    """The path of a small checkpoint with every namespace, config and rng."""
+    rng = np.random.default_rng(3)
+    arrays = {"a": rng.standard_normal((2, 3)).astype(np.float32), "b": np.float32(rng.random())}
+    ckpt = Checkpoint(params=arrays, optim_m=dict(arrays), optim_v=dict(arrays), opt_step=4,
+                      step=4, config=snapshot_config(_tiny_cfg(), TrainConfig()),
+                      rng_state=np.random.default_rng(1).bit_generator.state)
+    path = tmp_path_factory.mktemp("ckpt") / "valid.ckpt"
+    save_checkpoint(ckpt, str(path))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_checkpoint_with_one_header_line_replaced_raises_only_checkpoint_errors(
+        valid_checkpoint, data):
+    header, marker, payload = valid_checkpoint.read_bytes().partition(b"\n---\n")
+    lines = header.split(b"\n")
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    lines[i] = data.draw(st.one_of(st.text().map(str.encode), st.binary()), label="text")
+    path = str(valid_checkpoint) + ".edited"
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines) + marker + payload)
+    try:
+        load_checkpoint(path)
+    except CheckpointError as exc:
+        assert path in str(exc)
 
 
 def test_identical_seeds_give_bitwise_identical_checkpoints(tmp_path):

@@ -5,9 +5,9 @@ import pytest
 
 from maskvid.errors import GenerationError, SamplingError
 from maskvid.masking import STRATEGIES, make_mask
-from maskvid.video import (CUBE_WIDTH, DIRECTIONS, VideoClip, clip_size, cubify, decubify,
-                           normalize_cube_targets, read_raw_clip, synth_moving_sprites,
-                           write_raw_clip)
+from maskvid.video import (CUBE_WIDTH, DIRECTIONS, CubeGrid, VideoClip, clip_size, cubify,
+                           decubify, normalize_cube_targets, read_raw_clip,
+                           synth_moving_sprites, write_raw_clip)
 from maskvid.viz import gray_masked_cubes
 
 
@@ -86,6 +86,22 @@ def test_normalize_constant_cube_maps_to_zero():
     pixels = np.full((3, 2, 16, 16), 0.7, dtype=np.float32)
     targets = normalize_cube_targets(cubify(VideoClip(pixels)))
     np.testing.assert_allclose(targets.values, 0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_cube_statistics_are_numpys_float64_mean_and_std(dtype):
+    # scales far apart, constant cubes and rows read from mirrored or reversed views
+    rng = np.random.default_rng(19)
+    for k in range(12):
+        tokens = (rng.random((int(rng.integers(1, 80)), CUBE_WIDTH)) * 10.0 ** (k % 4 - 2))
+        tokens = tokens.astype(dtype)
+        tokens[: len(tokens) // 3] = tokens[0, 0]
+        view = [tokens, tokens[:, ::-1], tokens[::-1]][k % 3]
+        targets = normalize_cube_targets(CubeGrid(view, (len(view), 1, 1)))
+        means = view.mean(axis=1, dtype=np.float64).astype(dtype)
+        stds = view.std(axis=1, dtype=np.float64).astype(dtype)
+        assert targets.means.tobytes() == means.tobytes()
+        assert targets.stds.tobytes() == stds.tobytes()
 
 
 def test_denormalize_inverts_normalization():
