@@ -9,11 +9,10 @@ also checked alone, each wrapped here as a recorded op.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import tensor as tk
+from .errors import DimensionError
 from .masking import make_mask
 from .model import ModelConfig, init_mae_params, init_head_params, mae_forward_batch, classify
 from .tensor import Param, Tensor, finite_diff_check
@@ -58,19 +57,21 @@ def _generic_mae_params(cfg: ModelConfig, rng):
 def kernel_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """attention_block's attention kernels alone, as one recorded op.
 
-    q, k, v are equal-shaped (..., N, D). The clips (first axis) run through
-    tk._by_clips as in the block, so the kernels split where the block's would.
+    q, k, v are equal-shaped (B, N, D). The clips run through tk._by_clips as
+    in the block, so the kernels split where the block's would.
     """
-    lead, n = q.shape[:-2], q.shape[-2]
-    s, out = np.empty(lead + (heads, n, n), q.dtype), np.empty_like(q.data)
-    clips, per_clip = (lead[0] if lead else 1), math.prod(lead[1:]) * heads * n * n
+    if q.data.ndim != 3:
+        raise DimensionError(f"kernel_attention needs (B, N, D) q, k, v, got {q.shape}")
+    clips, n, d = q.shape
+    s, out = np.empty((clips, heads, n, n), q.dtype), np.empty_like(q.data)
+    per_clip = heads * n * n
     tk._by_clips(lambda ix: tk._attend(q.data[ix], k.data[ix], v.data[ix], heads, s[ix], out[ix]),
                  clips, per_clip)
 
     def bwd(g):
         gs, prod = np.empty_like(s), np.empty_like(s)
         gq, gv = np.empty_like(q.data), np.empty_like(q.data)
-        gk = np.empty(lead + (heads, q.shape[-1] // heads, n), q.dtype)
+        gk = np.empty((clips, heads, d // heads, n), q.dtype)
         tk._by_clips(lambda ix: tk._attend_grads(g[ix], q.data[ix], k.data[ix], v.data[ix], s[ix],
                                                  heads, gs[ix], prod[ix], gq[ix], gk[ix], gv[ix]),
                      clips, per_clip)
@@ -131,15 +132,16 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     out["reshape"] = finite_diff_check(lambda: _sq_mean(tk.reshape(x.value, (2, 6))), [x])
     out["mean_axis"] = finite_diff_check(lambda: _sq_mean(tk.mean_axis(x.value, axis=-2)), [x])
 
-    # (K,) indices on a 2-d input and (B, K) indices on a batched one
-    idx = np.array([0, 2])
+    # (B, K) indices on a batch of one clip and on a batch of two
+    x1 = Param(x.value.data[None].copy(), "x1", dtype=np.float64)
+    idx = np.array([[0, 2]])
     bx = _param(rng, (2, 3, 4), "bx")
     bidx = np.array([[2, 0], [1, 2]])
     out["gather_rows"] = max(
-        finite_diff_check(lambda: _sq_mean(tk.gather_rows(x.value, idx)), [x]),
+        finite_diff_check(lambda: _sq_mean(tk.gather_rows(x1.value, idx)), [x1]),
         finite_diff_check(lambda: _sq_mean(tk.gather_rows(bx.value, bidx)), [bx]))
     fill = _param(rng, (4,), "fill")
-    vis = _param(rng, (2, 4), "vis")
+    vis = _param(rng, (1, 2, 4), "vis")
     bvis = _param(rng, (2, 2, 4), "bvis")
     out["scatter_rows"] = max(
         finite_diff_check(lambda: _sq_mean(tk.scatter_rows(vis.value, idx, fill.value, 5)),
@@ -160,7 +162,7 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
 
     blk = tk.init_block_params(8, "blk", rng, dtype=np.float64)
     _to_generic_point(blk.values(), rng)
-    tokens = _param(rng, (3, 8), "tokens")
+    tokens = _param(rng, (1, 3, 8), "tokens")
     out["attention_block"] = finite_diff_check(
         lambda: _sq_mean(tk.attention_block(tokens.value, blk, "blk", heads=2)),
         list(blk.values()) + [tokens])

@@ -20,6 +20,7 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LN_EPS = 1e-6  # added to the variance under every layer norm's square root
 
 
 class Tensor:
@@ -32,12 +33,12 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_op_output")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.requires_grad = requires_grad
+        self.requires_grad = False
         self.grad: Optional[np.ndarray] = None
         self._op_output = False
 
@@ -72,10 +73,7 @@ class Param:
     """Named trainable tensor with an always-allocated gradient buffer."""
 
     def __init__(self, value, name: str, dtype=np.float32):
-        if isinstance(value, Tensor):
-            tensor = value
-        else:
-            tensor = Tensor(np.asarray(value, dtype=dtype))
+        tensor = Tensor(np.asarray(value, dtype=dtype))
         tensor.requires_grad = True
         tensor.zero_grad()
         self.value = tensor
@@ -317,13 +315,11 @@ def _sq_err_grads(diff, scale, gp):
 
 
 def _rows_bias_grad(g, rows) -> np.ndarray:
-    """A bias gradient summed as over the whole grid that `rows` (g.shape[:-1])
-    index: per grid row over the leading axes first, then over grid rows in
-    ascending order."""
-    d = g.shape[-1]
-    flat_g, flat_rows = g.reshape(-1, rows.shape[-1], d), rows.reshape(-1, rows.shape[-1])
-    per_row = np.zeros((int(flat_rows.max(initial=0)) + 1, d), dtype=g.dtype)
-    for gi, ri in zip(flat_g, flat_rows):
+    """The bias gradient of (B, K, D) g summed as over the whole grid that
+    its (B, K) `rows` index: per grid row over the clips first, then over grid
+    rows in ascending order."""
+    per_row = np.zeros((int(rows.max(initial=0)) + 1, g.shape[-1]), dtype=g.dtype)
+    for gi, ri in zip(g, rows):
         per_row[ri] += gi
     return per_row.sum(axis=0)
 
@@ -409,15 +405,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -> Tensor:
     """x @ w + b over the last axis of x.
 
-    rows, if given, names the grid rows (x.shape[:-1], unique along the last
-    axis) of a larger token grid that x holds. The bias gradient is then
-    summed as over the whole grid: per grid row over the leading axes first,
-    then over grid rows in ascending order, so projecting a row subset leaves
-    it bitwise that of the full grid, whose other rows contribute exact zeros.
+    rows, if given, names the (B, K) grid rows, unique per clip, of a larger
+    token grid that a (B, K, D) x holds. The bias gradient is then summed as
+    over the whole grid: per grid row over the clips first, then over grid
+    rows in ascending order, so projecting a row subset leaves it bitwise that
+    of the full grid, whose other rows contribute exact zeros.
     """
     idx = None if rows is None else np.asarray(rows)
     if (x.data.ndim < 2 or w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]
-            or (idx is not None and idx.shape != x.shape[:-1])):
+            or (idx is not None and (idx.ndim != 2 or idx.shape != x.shape[:-1]))):
         raise DimensionError(f"linear: x {x.shape}, w {w.shape}, b {b.shape}, "
                              f"rows {None if idx is None else idx.shape}")
     xd, wd = x.data, w.data
@@ -461,19 +457,17 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 # -- normalization ----------------------------------------------
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Zero-mean unit-variance over the last axis, then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
             f"layer_norm affine width mismatch: x has D={d}, gamma {gamma.shape}, beta {beta.shape}"
         )
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be > 0")
     xd = x.data
     xhat, inv = np.empty_like(xd), np.empty(xd.shape[:-1] + (1,), xd.dtype)
     out = np.empty_like(xd, dtype=np.result_type(xd, gamma.data, beta.data))
-    _normalize(xd, gamma.data, beta.data, eps, xhat, inv, out)
+    _normalize(xd, gamma.data, beta.data, _LN_EPS, xhat, inv, out)
 
     def bwd(g):
         gxhat, dx = np.empty_like(g), np.empty_like(g)
@@ -498,22 +492,20 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
 # -- gather / scatter --------------------------------------------------------
 
 def _row_index(x: Tensor, indices: np.ndarray, name: str) -> tuple:
-    """An advanced index that picks rows `indices` along axis -2 of x.
+    """An advanced index that picks the (B, K) rows `indices` of (B, N, D) x.
 
     Plain advanced indexing: np.take_along_axis/put_along_axis are an order
     of magnitude slower on (B, N, 1536) pixel arrays.
     """
     idx = np.asarray(indices)
-    if idx.shape[:-1] != x.shape[:-2] or idx.ndim != x.data.ndim - 1:
-        raise DimensionError(
-            f"{name} expects indices {x.shape[:-2] + ('K',)} for input {x.shape}, got {idx.shape}"
-        )
-    lead = np.indices(idx.shape[:-1], sparse=True)
-    return tuple(a[..., None] for a in lead) + (idx,)
+    if x.data.ndim != 3 or idx.ndim != 2 or len(idx) != len(x.data):
+        raise DimensionError(f"{name} expects (B, N, D) input with (B, K) indices, "
+                             f"got {x.shape} and {idx.shape}")
+    return np.arange(len(idx))[:, None], idx
 
 
 def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows along axis -2; indices is x.shape[:-2] + (K,), unique along K."""
+    """Select the (B, K) rows `indices`, unique per clip, of (B, N, D) x."""
     ix = _row_index(x, indices, "gather_rows")
     out = Tensor(x.data[ix])
 
@@ -527,24 +519,23 @@ def gather_rows(x: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def scatter_rows(visible: Tensor, indices: np.ndarray, fill: Tensor, n_rows: int) -> Tensor:
-    """Place visible rows at `indices` along axis -2; every other row is `fill`.
+    """Place (B, K, D) visible rows at their (B, K) `indices`, unique per clip,
+    in (B, n_rows, D) grids; every other row is `fill`.
 
-    indices is visible.shape[:-1], unique along its last axis. fill is a
-    single vector of width visible.shape[-1] (the learnable mask token); its
+    fill is a single vector of width D (the learnable mask token); its
     gradient is the sum over all filled positions.
     """
     ix = _row_index(visible, indices, "scatter_rows")
-    d = visible.shape[-1]
+    clips, _, d = visible.shape
     if fill.shape != (d,):
         raise DimensionError(f"fill vector width {fill.shape} != row width {d}")
-    data = np.broadcast_to(fill.data, visible.shape[:-2] + (n_rows, d)).copy()
+    data = np.broadcast_to(fill.data, (clips, n_rows, d)).copy()
     data[ix] = visible.data
     out = Tensor(data)
-    lead = tuple(range(visible.data.ndim - 1))
 
     def bwd(g):
         gvis = g[ix]
-        return gvis, g.sum(axis=lead) - gvis.sum(axis=lead)
+        return gvis, g.sum(axis=(0, 1)) - gvis.sum(axis=(0, 1))
 
     return _record(out, (visible, fill), bwd)
 
@@ -600,8 +591,7 @@ def pixel_mse(x: Tensor, w: Tensor, b: Tensor, rows: np.ndarray, targets: np.nda
 
     def bwd(g):
         scale = g.reshape(-1)[0] / diff.size
-        gt = np.result_type(diff, scale)
-        gp = sq if sq.dtype == gt else np.empty(diff.shape, gt)  # the squares are spent
+        gp = sq  # the squares are spent
         gx = np.empty(xd.shape, np.result_type(gp, wd)) if x.requires_grad else None
         gw = np.empty((clips,) + wd.shape, np.result_type(xd, gp)) if w.requires_grad else None
 
@@ -688,19 +678,19 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
 def attention_block(tokens: Tensor, params: dict, name: str, heads: int) -> Tensor:
     """Pre-norm block: LN -> multi-head self-attention -> residual -> LN -> MLP -> residual.
 
-    Joint space-time attention: every token attends to every token. The
-    block is one recorded op. Its forward and its backward each take every
-    clip (index along the first axis) through the whole block in one
-    _by_clips call, so a large batch hands half its clips to the second
+    Joint space-time attention: every token of a clip attends to every token
+    of that clip; tokens is (B, N, D). The block is one recorded op. Its
+    forward and its backward each take every clip through the whole block in
+    one _by_clips call, so a large batch hands half its clips to the second
     core once per pass; every intermediate goes into an array allocated
     here. Cross-clip sums (the weight, bias and gain gradients) follow the
     join. The arithmetic and its order are those of the composed ops:
     layer_norm, linear, the attention and GELU kernels, add.
     """
     xd = tokens.data
-    if xd.ndim < 2 or xd.shape[-2] < 1:
-        raise ContractError(f"attention_block needs (..., N >= 1, D) tokens, got {xd.shape}")
-    lead, (n, d) = xd.shape[:-2], xd.shape[-2:]
+    if xd.ndim != 3 or xd.shape[1] < 1:
+        raise ContractError(f"attention_block needs (B, N, D) tokens, N >= 1, got {xd.shape}")
+    clips, n, d = xd.shape
     if d % heads != 0:
         raise ConfigError(f"token width {d} is not divisible by heads {heads}")
     p = {key: params[f"{name}/{key}"].value for key in _block_layout(d, 1)}
@@ -711,24 +701,21 @@ def attention_block(tokens: Tensor, params: dict, name: str, heads: int) -> Tens
         raise DimensionError(f"{name} parameters do not fit tokens {xd.shape}: {', '.join(wrong)}")
     w = {key: t.data for key, t in p.items()}
     dt = np.result_type(xd, *w.values())
-    clips = lead[0] if lead else 1
-    per_clip = math.prod(lead[1:]) * (heads * n * n + 7 * n * hidden // 2
-                                      + n * d * (4 * d + 2 * hidden) // 64)
+    per_clip = heads * n * n + 7 * n * hidden // 2 + n * d * (4 * d + 2 * hidden) // 64
 
-    rows = lead + (n,)
-    out = np.empty(rows + (d,), dt)
+    out = np.empty(xd.shape, dt)
     xhat1, y, q, k, v, att, h, xhat2, y2, a1, cdf, u, inv1, inv2, s = _carve(
-        dt, *[rows + (d,)] * 9, *[rows + (hidden,)] * 3, *[rows + (1,)] * 2,
-        lead + (heads, n, n))
+        dt, *[(clips, n, d)] * 9, *[(clips, n, hidden)] * 3, *[(clips, n, 1)] * 2,
+        (clips, heads, n, n))
 
     def forward(ix):
-        _normalize(xd[ix], w["ln1/g"], w["ln1/b"], 1e-6, xhat1[ix], inv1[ix], y[ix])
+        _normalize(xd[ix], w["ln1/g"], w["ln1/b"], _LN_EPS, xhat1[ix], inv1[ix], y[ix])
         for key, o in (("q", q), ("k", k), ("v", v)):
             _affine(y[ix], w["w" + key], w["b" + key], o[ix])
         _attend(q[ix], k[ix], v[ix], heads, s[ix], att[ix])
         _affine(att[ix], w["wo"], w["bo"], h[ix])
         np.add(h[ix], xd[ix], out=h[ix])
-        _normalize(h[ix], w["ln2/g"], w["ln2/b"], 1e-6, xhat2[ix], inv2[ix], y2[ix])
+        _normalize(h[ix], w["ln2/g"], w["ln2/b"], _LN_EPS, xhat2[ix], inv2[ix], y2[ix])
         _affine(y2[ix], w["w1"], w["b1"], a1[ix])
         _gelu(a1[ix], cdf[ix], u[ix])
         _affine(u[ix], w["w2"], w["b2"], out[ix])
@@ -738,12 +725,12 @@ def attention_block(tokens: Tensor, params: dict, name: str, heads: int) -> Tens
 
     def bwd(g):
         gt = np.result_type(g, dt)
-        gpart = np.empty(rows + (d,), gt)  # scratch, then the tokens' gradient
+        gpart = np.empty(xd.shape, gt)  # scratch, then the tokens' gradient
         # one weight gradient per clip, summed over the clips after the join
         wkeys = ("wq", "wk", "wv", "wo", "w1", "w2")
         gu, ga1, gy2, gxhat2, gh, gq, gv, gy, gxhat1, gk, gs, prod, *gws = _carve(
-            gt, *[rows + (hidden,)] * 2, *[rows + (d,)] * 7, lead + (heads, d // heads, n),
-            s.shape, s.shape, *[lead + w[key].shape for key in wkeys])
+            gt, *[(clips, n, hidden)] * 2, *[(clips, n, d)] * 7, (clips, heads, d // heads, n),
+            s.shape, s.shape, *[(clips,) + w[key].shape for key in wkeys])
         gw = dict(zip(wkeys, gws))
         gkn = _keys_grad(gk)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as tk
 from .errors import CheckpointError, ConfigError, ContractError, NumericError
-from .masking import MaskMap, make_mask
+from .masking import make_mask
 from .model import (MAEParams, ModelConfig, _head_layout, _param_layout, clip_features,
                     head_logits, init_head_params, init_mae_params, mae_loss_batch)
 from .tensor import Param, Tape, Tensor
@@ -78,21 +78,20 @@ class TrainConfig:
 
 # -- loss ---------------------------------------------------------------------
 
-def masked_mse_loss(pred: Tensor, targets, mask) -> Tensor:
+def masked_mse_loss(pred: Tensor, targets, masks) -> Tensor:
     """Mean squared error over masked tokens only, averaged per pixel entry.
 
-    pred is (N, C) with one MaskMap, or (B, N, C) with a list of B masks;
-    targets is an array of normalized cube values, shaped as pred; visible
-    tokens contribute nothing. Pretraining computes the same loss without the
-    visible rows: it decodes only the masked rows and scores them with tk.mse.
+    pred is (B, N, C) with a list of B masks; targets is an array of
+    normalized cube values, shaped as pred; visible tokens contribute nothing.
+    Pretraining computes the same loss without the visible rows: it decodes
+    only the masked rows and scores them with tk.pixel_mse.
     """
-    masks = [mask] if isinstance(mask, MaskMap) else mask
-    lead = pred.shape[:-1]
-    if (len(masks) != math.prod(lead[:-1]) or any(m.mask.size != lead[-1] for m in masks)
+    if (pred.data.ndim != 3 or len(masks) != pred.shape[0]
+            or any(m.mask.size != pred.shape[1] for m in masks)
             or len({m.n_masked for m in masks}) > 1):
-        raise ContractError(
-            f"pred {pred.shape} vs {len(masks)} masks (each over {lead[-1]} rows, equally many hidden)")
-    rows = np.stack([m.masked_indices for m in masks]).reshape(lead[:-1] + (-1,))
+        raise ContractError(f"masked_mse_loss needs (B, N, C) predictions and B masks, each over "
+                            f"N rows with equally many hidden; got {pred.shape} and {len(masks)}")
+    rows = np.stack([m.masked_indices for m in masks])
     return tk.mse(tk.gather_rows(pred, rows), tk.gather_rows(Tensor(targets), rows).data)
 
 
@@ -430,16 +429,23 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
     A resume runs under the checkpoint's own config: a model_cfg or config
     that differs from it in any key raises ConfigError naming each such key,
     and a checkpoint without AdamW moments for every parameter (a fine-tune
-    or probe checkpoint) raises CheckpointError.
+    or probe checkpoint) or without a PCG64 generator state raises
+    CheckpointError.
     """
     if len(dataset) == 0:
         raise ContractError("pretrain needs a nonempty dataset")
     clips = [item[0] if isinstance(item, tuple) else item for item in dataset]
+    rng = np.random.default_rng(config.seed)
+    if resume is not None:
+        try:
+            rng.bit_generator.state = resume.rng_state
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise CheckpointError("resume needs the PCG64 state of the checkpoint's generator; "
+                                  f"its rng state is {resume.rng_state!r:.200}") from None
     params = params_from_checkpoint(resume) if resume is not None else None
     model_cfg = model_cfg or (params.config if params else ModelConfig())
     _check_clip_grids(clips, model_cfg.dims, "pretraining", "model")
     config_snap = snapshot_config(model_cfg, config)
-    rng = np.random.default_rng(config.seed)
     if resume is None:
         params = init_mae_params(model_cfg, seed=config.seed)
         state, start_step = OptimState.for_params(params.values()), 0
@@ -457,7 +463,6 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
                            v={k: v.copy() for k, v in resume.optim_v.items()},
                            step=resume.opt_step)
         start_step = resume.step
-        rng.bit_generator.state = resume.rng_state
 
     mask_dims = (model_cfg.dims[0], model_cfg.spatial_sites)
     # counts are exact per strategy, so one throwaway draw tells, and the

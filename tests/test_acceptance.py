@@ -112,7 +112,7 @@ def test_loss_matches_brute_force_on_100_instances():
         mask = make_mask(strategy, (t, s), ratio, rng)
         pred = rng.normal(size=(t * s, c))
         targets = rng.normal(size=(t * s, c))
-        got = masked_mse_loss(Tensor(pred), targets, mask).item()
+        got = masked_mse_loss(Tensor(pred[None]), targets[None], [mask]).item()
         want = brute_force_masked_mse(pred, targets, mask)
         assert abs(got - want) < 1e-7
 

@@ -123,16 +123,16 @@ def test_full_scale_forward_shapes_without_training():
     mask = make_mask("tube", (8, 196), 0.9, np.random.default_rng(0))
     assert mask.n_visible == 160  # (196-176) sites x 8 slices
 
-    embedded = cube_embed(Tensor(grid.tokens), params)
-    assert embedded.shape == (1568, 768)
+    embedded = cube_embed(Tensor(grid.tokens[None]), params)
+    assert embedded.shape == (1, 1568, 768)
 
-    vis_idx = mask.visible_indices
+    vis_idx = mask.visible_indices[None]
     with_pos = tk.add(embedded, Tensor(params.pos_enc))
     encoded = encode(tk.gather_rows(with_pos, vis_idx), params)
-    assert encoded.shape == (160, 768)
+    assert encoded.shape == (1, 160, 768)
 
     decoded = decode(encoded, vis_idx, params)
-    assert decoded.shape == (1568, 1536)
+    assert decoded.shape == (1, 1568, 1536)
 
 
 def test_encoder_only_sees_visible_tokens():
@@ -145,10 +145,10 @@ def test_encoder_only_sees_visible_tokens():
     # altering masked-cube pixels must not change the encoder output
     hacked = grid.tokens.copy()
     hacked[mask.masked_indices] = 123.0
-    vis_idx = mask.visible_indices
+    vis_idx = mask.visible_indices[None]
 
     def encode_visible(tokens):
-        embedded = tk.add(cube_embed(Tensor(tokens), params), Tensor(params.pos_enc))
+        embedded = tk.add(cube_embed(Tensor(tokens[None]), params), Tensor(params.pos_enc))
         return encode(tk.gather_rows(embedded, vis_idx), params)
 
     a = encode_visible(grid.tokens)
@@ -162,10 +162,10 @@ def test_decode_places_visible_and_mask_tokens_correctly():
     # instrument: make enc2dec identity-ish impossible, instead check the
     # scatter by marking visible rows through a constant offset
     rng = np.random.default_rng(0)
-    encoded = Tensor(rng.standard_normal((16, cfg.d_enc)).astype(np.float32))
+    encoded = Tensor(rng.standard_normal((1, 16, cfg.d_enc)).astype(np.float32))
     mask = make_mask("tube", (8, 16), 0.9, np.random.default_rng(0))
-    out = decode(encoded, mask.visible_indices, params)
-    assert out.shape == (128, 1536)
+    out = decode(encoded, mask.visible_indices[None], params)
+    assert out.shape == (1, 128, 1536)
     assert np.isfinite(out.data).all()
 
 

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from maskvid import tensor as tk
-from maskvid.errors import ConfigError, ContractError, DimensionError
+from maskvid.errors import ConfigError, ContractError, DimensionError, MaskvidError
 from maskvid.gradsuite import kernel_attention, kernel_gelu
+from maskvid.masking import make_mask
 from maskvid.tensor import Param, Tape, Tensor, finite_diff_check
+from maskvid.training import masked_mse_loss
 
 
 def _param(rng, shape, name):
@@ -108,7 +110,7 @@ def _attention_reference(q, k, v, heads):
 
 def test_attention_matches_per_head_reference():
     rng = np.random.default_rng(2)
-    for shape, heads in (((5, 8), 2), ((3, 6, 12), 3), ((2, 4, 6), 1)):
+    for shape, heads in (((1, 5, 8), 2), ((3, 6, 12), 3), ((2, 4, 6), 1)):
         q, k, v = (rng.standard_normal(shape) for _ in range(3))
         out = kernel_attention(Tensor(q), Tensor(k), Tensor(v), heads).data
         np.testing.assert_allclose(out, _attention_reference(q, k, v, heads), rtol=1e-12, atol=1e-12)
@@ -125,10 +127,10 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     # inside attention: equal value rows come out unchanged, and adding one
     # vector to every key shifts each query's scores by a constant
     rng = np.random.default_rng(2)
-    q, k = rng.standard_normal((4, 6)), rng.standard_normal((4, 6))
-    v = np.tile(rng.standard_normal(6), (4, 1))
+    q, k = rng.standard_normal((1, 4, 6)), rng.standard_normal((1, 4, 6))
+    v = np.tile(rng.standard_normal(6), (1, 4, 1))
     np.testing.assert_allclose(kernel_attention(Tensor(q), Tensor(k), Tensor(v), 2).data, v, atol=1e-12)
-    v = rng.standard_normal((4, 6))
+    v = rng.standard_normal((1, 4, 6))
     out = kernel_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
     shifted = kernel_attention(Tensor(q), Tensor(k + rng.standard_normal(6)), Tensor(v), 2).data
     np.testing.assert_allclose(out, shifted, atol=1e-12)
@@ -137,18 +139,18 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
 def test_softmax_handles_large_scores():
     # keys all equal at magnitude 1e3: every query weighs every row alike
     rng = np.random.default_rng(3)
-    q, v = rng.standard_normal((5, 8)), rng.standard_normal((5, 8))
-    k = np.full((5, 8), 1e3)
+    q, v = rng.standard_normal((1, 5, 8)), rng.standard_normal((1, 5, 8))
+    k = np.full((1, 5, 8), 1e3)
     out = kernel_attention(Tensor(q), Tensor(k), Tensor(v), 2).data
     assert np.isfinite(out).all()
-    np.testing.assert_allclose(out, np.tile(v.mean(axis=0), (5, 1)), atol=1e-12)
+    np.testing.assert_allclose(out, np.tile(v.mean(axis=1), (1, 5, 1)), atol=1e-12)
 
 
 def test_gather_rows_picks_requested_rows():
-    x = Tensor(np.arange(12.0).reshape(4, 3))
-    out = tk.gather_rows(x, np.array([2, 0]))
-    np.testing.assert_array_equal(out.data, [[6, 7, 8], [0, 1, 2]])
-    # batched: (B, K) indices pick per-sample rows
+    x = Tensor(np.arange(12.0).reshape(1, 4, 3))
+    out = tk.gather_rows(x, np.array([[2, 0]]))
+    np.testing.assert_array_equal(out.data, [[[6, 7, 8], [0, 1, 2]]])
+    # two clips: (B, K) indices pick per-sample rows
     bx = Tensor(np.arange(24.0).reshape(2, 4, 3))
     out = tk.gather_rows(bx, np.array([[2, 0], [1, 3]]))
     np.testing.assert_array_equal(
@@ -158,12 +160,12 @@ def test_gather_rows_picks_requested_rows():
 
 
 def test_scatter_rows_places_visible_and_fills_rest():
-    vis = Tensor(np.array([[1.0, 1.0], [2.0, 2.0]]))
+    vis = Tensor(np.array([[[1.0, 1.0], [2.0, 2.0]]]))
     fill = Tensor(np.array([9.0, 9.0]))
-    out = tk.scatter_rows(vis, np.array([3, 1]), fill, 4)
+    out = tk.scatter_rows(vis, np.array([[3, 1]]), fill, 4)
     np.testing.assert_array_equal(
-        out.data, [[9, 9], [2, 2], [9, 9], [1, 1]])
-    # batched: (B, K) indices place each sample's rows in its own grid
+        out.data, [[[9, 9], [2, 2], [9, 9], [1, 1]]])
+    # two clips: (B, K) indices place each sample's rows in its own grid
     bvis = Tensor(np.array([[[1.0, 1.0]], [[2.0, 2.0]]]))
     out = tk.scatter_rows(bvis, np.array([[2], [0]]), fill, 3)
     np.testing.assert_array_equal(
@@ -172,10 +174,30 @@ def test_scatter_rows_places_visible_and_fills_rest():
         tk.scatter_rows(bvis, np.array([2, 0]), fill, 3)
 
 
+@pytest.mark.parametrize("lead", [(), (1, 1)], ids=["2d", "4d"])
+@pytest.mark.parametrize("op", ["attention_block", "gather_rows", "scatter_rows",
+                                "masked_mse_loss", "kernel_attention"])
+def test_token_ops_take_clips_first_batches_only(op, lead):
+    # (N, D) tokens, or (1, 1, N, D), with (K,) or (1, 1, K) rows, are not a
+    # (B, N, D) batch with (B, K) rows
+    x = Tensor(np.zeros(lead + (4, 8)))
+    rows = np.zeros(lead + (2,), dtype=int) + [0, 2]
+    blk = tk.init_block_params(8, "blk", np.random.default_rng(0))
+    calls = {"attention_block": lambda: tk.attention_block(x, blk, "blk", 2),
+             "gather_rows": lambda: tk.gather_rows(x, rows),
+             "scatter_rows": lambda: tk.scatter_rows(Tensor(np.zeros(lead + (2, 8))), rows,
+                                                     Tensor(np.zeros(8)), 4),
+             "masked_mse_loss": lambda: masked_mse_loss(
+                 x, np.zeros(x.shape), [make_mask("random", (2, 2), 0.5, 0)]),
+             "kernel_attention": lambda: kernel_attention(x, x, x, 2)}
+    with pytest.raises(MaskvidError, match=r"\(B, N, [CD]\)|\(B, K\)"):
+        calls[op]()
+
+
 def test_mse_equals_composed_chain_bitwise():
     """One fused op, same bits as a plain-numpy difference, square and mean."""
     rng = np.random.default_rng(5)
-    for dtype, shape in ((np.float32, (3, 10, 6)), (np.float64, (10, 6)),
+    for dtype, shape in ((np.float32, (3, 10, 6)), (np.float64, (1, 10, 6)),
                          (np.float32, (4, 200, 1536))):
         pred = Param(rng.standard_normal(shape), "pred", dtype=dtype)
         targets = rng.standard_normal(shape)
@@ -323,7 +345,7 @@ def test_matmul_backward_matches_hand_formula():
 @pytest.mark.parametrize("seed", range(5))
 def test_composite_expression_passes_finite_difference(seed):
     rng = np.random.default_rng(seed)
-    a = _param(rng, (3, 4), "a")
+    a = _param(rng, (1, 3, 4), "a")
     b = _param(rng, (4, 3), "b")
     g = _param(rng, (3,), "g")
 
@@ -356,11 +378,11 @@ def test_softmax_backward_rows_orthogonal_to_ones(seed):
 def test_attention_block_preserves_shape_and_differentiates():
     rng = np.random.default_rng(8)
     blk = tk.init_block_params(8, "blk", rng, dtype=np.float64)
-    x = _param(rng, (5, 8), "x")
+    x = _param(rng, (1, 5, 8), "x")
     out = tk.attention_block(x.value, blk, "blk", heads=2)
-    assert out.shape == (5, 8)
+    assert out.shape == (1, 5, 8)
     err = finite_diff_check(
-        lambda: tk.mse(tk.attention_block(x.value, blk, "blk", heads=2), np.zeros((5, 8))),
+        lambda: tk.mse(tk.attention_block(x.value, blk, "blk", heads=2), np.zeros((1, 5, 8))),
         [x], samples_per_param=10)
     assert err < 1e-5
 
@@ -622,7 +644,7 @@ def _composed_block(tokens, params, name, heads):
 @_PATHS
 @pytest.mark.parametrize("shape,heads,dtype", [
     ((4, 200, 32), 2, np.float32), ((4, 16, 64), 4, np.float32), ((4, 200, 64), 4, np.float32),
-    ((3, 8), 2, np.float64)], ids=["decoder200", "encoder16", "encoder200", "2d-float64"])
+    ((1, 3, 8), 2, np.float64)], ids=["decoder200", "encoder16", "encoder200", "1clip-float64"])
 def test_attention_block_is_bitwise_its_twelve_composed_ops(monkeypatch, shape, heads, dtype,
                                                              floor):
     # the output and all 17 gradients (tokens and 16 parameters); at a
@@ -753,7 +775,7 @@ def test_a_split_finishes_here_while_the_worker_is_busy(monkeypatch, op):
 def test_attention_block_rejects_indivisible_heads():
     rng = np.random.default_rng(9)
     blk = tk.init_block_params(8, "blk", rng)
-    x = Tensor(np.zeros((4, 8), dtype=np.float32))
+    x = Tensor(np.zeros((1, 4, 8), dtype=np.float32))
     with pytest.raises(ConfigError):
         tk.attention_block(x, blk, "blk", heads=3)
 

@@ -1,5 +1,6 @@
 """Tests for the loss, optimizer, schedule, checkpointing, and training loops."""
 
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -61,7 +62,7 @@ def test_masked_mse_matches_brute_force(seed):
     pred = rng.standard_normal((n, c))
     values = rng.standard_normal((n, c))
     mask = make_mask("random", (4, 4), float(rng.uniform(0.2, 0.95)), seed)
-    got = masked_mse_loss(Tensor(pred), values, mask).item()
+    got = masked_mse_loss(Tensor(pred[None]), values[None], [mask]).item()
     expect = _brute_force_masked_mse(pred, values, mask)
     assert abs(got - expect) < 1e-7
 
@@ -71,16 +72,16 @@ def test_masked_mse_ignores_visible_rows():
     pred = rng.standard_normal((8, 3))
     values = rng.standard_normal((8, 3))
     mask = make_mask("random", (2, 4), 0.5, 0)
-    base = masked_mse_loss(Tensor(pred), values, mask).item()
+    base = masked_mse_loss(Tensor(pred[None]), values[None], [mask]).item()
     hacked = pred.copy()
     hacked[mask.visible_indices] += 100.0
-    assert masked_mse_loss(Tensor(hacked), values, mask).item() == base
+    assert masked_mse_loss(Tensor(hacked[None]), values[None], [mask]).item() == base
 
 
 def test_masked_mse_rejects_empty_mask():
     mask = make_mask("random", (2, 4), 0.0, 0)
     with pytest.raises(ContractError):
-        masked_mse_loss(Tensor(np.zeros((8, 3))), np.zeros((8, 3)), mask)
+        masked_mse_loss(Tensor(np.zeros((1, 8, 3))), np.zeros((1, 8, 3)), [mask])
 
 
 @pytest.mark.parametrize("strategy, ratio", [("tube", 0.9), ("random", 0.9), ("frame", 0.875)])
@@ -129,7 +130,7 @@ def test_masked_mse_batched_matches_per_sample_mean():
     values = rng.standard_normal((3, 8, 4))
     masks = [make_mask("random", (2, 4), 0.5, s) for s in range(3)]
     batched = masked_mse_loss(Tensor(pred), values, masks).item()
-    singles = [masked_mse_loss(Tensor(pred[b]), values[b], masks[b]).item()
+    singles = [masked_mse_loss(Tensor(pred[b:b + 1]), values[b:b + 1], [masks[b]]).item()
                for b in range(3)]
     assert abs(batched - float(np.mean(singles))) < 1e-9
 
@@ -421,6 +422,18 @@ def test_resume_under_a_different_config_names_every_differing_key():
         pretrain(cfg, ds, model_cfg=wider, resume=half.checkpoint)
     # the same config resumes
     assert len(pretrain(cfg, ds, model_cfg=_tiny_cfg_64(), resume=half.checkpoint).trace) == 2
+
+
+@pytest.mark.parametrize("rng_state", [{"bit_generator": "PCG64"}, {"bit_generator": "MT19937"},
+                                       {"bit_generator": "PCG64", "state": [1, 2]}])
+def test_resume_from_a_checkpoint_without_a_pcg64_state_raises_checkpoint_error(rng_state):
+    # load_checkpoint accepts any JSON object as the rng state
+    cfg = TrainConfig(base_lr=0.1, batch_size=2, total_steps=2, seed=0,
+                      mask_strategy="tube", mask_ratio=0.9)
+    ds = synth_moving_sprites(seed=0, count=4, noise_level=0.0)
+    half = pretrain(cfg, ds, model_cfg=_tiny_cfg_64(), stop_step=1).checkpoint
+    with pytest.raises(CheckpointError, match="PCG64"):
+        pretrain(cfg, ds, resume=dataclasses.replace(half, rng_state=rng_state))
 
 
 def test_loss_trace_csv_format(tmp_path):

@@ -31,6 +31,9 @@ The replay covers:
 - make_mask over seeds 0-999 at (8,25) and (8,196) for each strategy;
 - pos_embed_table at (8,4,4) and (8,14,14) for the encoder and decoder widths;
 - gray_masked_cubes, mask_to_text and mask_heatmap for each strategy;
+- masked_mse_loss on a 3-clip (B, N, C) batch of predictions against the
+  sprites' normalized cubes, with one mask per clip for each strategy: the
+  loss and the predictions' gradient;
 - every value of the gradient suite.
 
 It calls only public functions whose signatures have been stable across the
@@ -51,9 +54,10 @@ import numpy as np
 from maskvid import cli, gradsuite
 from maskvid.masking import make_mask, mask_to_text
 from maskvid.model import ModelConfig, classify, pos_embed_table
+from maskvid.tensor import Param, Tape
 from maskvid.training import (TrainConfig, finetune, linear_probe, load_checkpoint,
-                              pretrain, save_checkpoint)
-from maskvid.video import synth_moving_sprites
+                              masked_mse_loss, pretrain, save_checkpoint)
+from maskvid.video import cubify, normalize_cube_targets, synth_moving_sprites
 from maskvid.viz import gray_masked_cubes, mask_heatmap
 
 GEOMETRY = ModelConfig(dims=(8, 5, 5))
@@ -170,6 +174,22 @@ def replay_viz():
         emit(f"mask_heatmap/{strategy}", digest(heat.shape, str(heat.dtype), heat.tobytes()))
 
 
+def replay_masked_loss():
+    clips = [clip for clip, _ in synth_moving_sprites(0, 4, **SPRITES)][:3]
+    targets = np.stack([normalize_cube_targets(cubify(clip)).values for clip in clips])
+    rng = np.random.default_rng(0)
+    pred = Param(rng.standard_normal(targets.shape), "pred")
+    dims = (GEOMETRY.dims[0], GEOMETRY.spatial_sites)
+    for strategy, ratio in CELLS:
+        masks = [make_mask(strategy, dims, ratio, rng) for _ in clips]
+        pred.zero_grad()
+        with Tape() as tape:
+            loss = masked_mse_loss(pred.value, targets, masks)
+            tape.backward(loss)
+        emit(f"masked_mse_loss/{strategy}/value", digest(str(loss.dtype), loss.data.tobytes()))
+        emit(f"masked_mse_loss/{strategy}/pred_grad", digest(pred.grad.tobytes()))
+
+
 def replay_gradsuite():
     for name, err in sorted(gradsuite.primitive_checks().items()):
         emit(f"gradsuite/{name}", digest(err))
@@ -183,6 +203,7 @@ def main() -> int:
         replay_reconstruct(tube, workdir)
     replay_masks()
     replay_viz()
+    replay_masked_loss()
     replay_gradsuite()
     return 0
 
