@@ -149,7 +149,7 @@ def _cmd_supervised(args, runner, tag: str) -> int:
         _log(f"{tag}_aborted", step=len(result.trace))
         return 2
     rng = np.random.default_rng(train_cfg.seed)
-    state = OptimState.for_params([])
+    state = OptimState([])
     full = _make_checkpoint(result.params, result.head, state, len(result.trace),
                             snapshot_config(params.config, train_cfg), rng)
     save_checkpoint(full, os.path.join(out, f"{tag}.ckpt"))

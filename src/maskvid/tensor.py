@@ -8,6 +8,7 @@ checking only.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from concurrent import futures
@@ -57,9 +58,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
-
     def accumulate_grad(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -75,7 +73,7 @@ class Param:
     def __init__(self, value, name: str, dtype=np.float32):
         tensor = Tensor(np.asarray(value, dtype=dtype))
         tensor.requires_grad = True
-        tensor.zero_grad()
+        tensor.grad = np.zeros_like(tensor.data)
         self.value = tensor
         self.name = name
 
@@ -84,7 +82,8 @@ class Param:
         return self.value.grad
 
     def zero_grad(self):
-        self.value.zero_grad()
+        # in place: a trained Param's gradient is a view into its training store
+        self.value.grad.fill(0)
 
     def __repr__(self):
         return f"Param({self.name}, shape={self.value.shape})"
@@ -187,6 +186,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # faster split, of 184 rows (282,624) 7% faster; a half of 16-token clips
 # with targets (24,576 entries) was slower, of 32 tokens (49,152) faster; a
 # half of bare cubes was no faster below 200 tokens (307,200 entries).
+# training.adamw_step's blocked update was slower split for stores of up to
+# 376,800 elements (1.61 against 2.14 ms serial and split), even at 600,000
+# (2.97 and 3.04 ms) and faster at 1,000,000 (4.65 and 4.27 ms), on a day
+# when the second core came and went; in (8,5,5) pretraining steps its
+# 376,704-element store took 1.71 ms serial and 1.64 ms split.
 _SPLIT_FLOOR = 200_000
 _POOL: Optional[futures.ThreadPoolExecutor] = None
 
@@ -209,13 +213,17 @@ def _by_clips(fn: Callable, clips: int, per_clip: int):
     counts rows x K x M / 32 per clip, none when K < 64. pixel_mse counts
     one per output entry, rows x M. video.stack_cubes counts per token
     entry (N x 1536 a clip) one to stack cubes and five to stack them with
-    their normalized targets. If the worker has not started its half by
+    their normalized targets. training.adamw_step splits its flat store's
+    two rows and counts half a unit per element of a row, so a store splits
+    from 800,000 elements. If the worker has not started its half by
     the time this one is done (its core is busy elsewhere), that half runs
     here too.
 
     fn must call only numpy and scipy on array slices (which release the
     GIL), never maskvid's public functions or the tape, and write each clip
-    into its own slice of outputs allocated up front.
+    into its own slice of outputs allocated up front. The worker runs its
+    half in a copy of the caller's context, so the caller's np.errstate
+    holds on both threads.
     """
     global _POOL
     mid = (clips + 1) // 2
@@ -225,7 +233,7 @@ def _by_clips(fn: Callable, clips: int, per_clip: int):
         if len(os.sched_getaffinity(0)) < 2:
             return fn(...)
         _POOL = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="maskvid")
-    upper = _POOL.submit(fn, slice(mid, clips))
+    upper = _POOL.submit(contextvars.copy_context().run, fn, slice(mid, clips))
     try:
         fn(slice(0, mid))
     finally:
@@ -282,9 +290,20 @@ def _normalize_grads(g, gamma, xhat, inv, gxhat, dx):
 
 
 def _gelu(x, cdf, out):
-    """Exact GELU x * Phi(x) into out, Phi(x) = 0.5 * (1 + erf(x / sqrt2)) into cdf."""
+    """Exact GELU x * Phi(x) into out, Phi(x) = 0.5 * (1 + erf(x / sqrt2)) into cdf.
+
+    erf runs on |x / sqrt2|, and the sign comes back from fmin(x / sqrt2, 0),
+    built in out. That is bitwise erf of the signed input: scipy's erf is odd
+    bit for bit and returns one NaN for either sign, and fmin gives a NaN the
+    sign +, as copysign from the input would not. On inputs of mixed sign,
+    erf's own branch on the sign mispredicts; on |x| it does not, and the
+    pass takes about two thirds of the time.
+    """
     np.multiply(x, _INV_SQRT2, out=cdf)
+    np.fmin(cdf, 0.0, out=out)
+    np.abs(cdf, out=cdf)
     erf(cdf, out=cdf)
+    np.copysign(cdf, out, out=cdf)
     cdf += 1.0
     cdf *= 0.5
     np.multiply(x, cdf, out=out)

@@ -97,47 +97,129 @@ def masked_mse_loss(pred: Tensor, targets, masks) -> Tensor:
 
 # -- optimizer -----------------------------------------------------------------
 
-@dataclass
 class OptimState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    step: int = 0
+    """AdamW's step count and one flat store of the parameters it trains.
 
-    @classmethod
-    def for_params(cls, params) -> "OptimState":
-        return cls(m={p.name: np.zeros_like(p.value.data) for p in params},
-                   v={p.name: np.zeros_like(p.value.data) for p in params})
+    The store is four flat buffers, the parameters' values, their gradients
+    and the first and second moments m and v, and `layout` maps each name to
+    its (offset, shape) in them. Building the state copies each Param's value
+    and gradient into the store and makes them views of it, so AdamW, zero-grad
+    and the finite check each run over whole buffers; a Param belongs to the
+    last state built over it. m and v start from the name-keyed moments given
+    (a resume) or at zero. lr_scales multiplies a named parameter's lr; a name
+    it lacks keeps the lr.
+    """
+
+    def __init__(self, params, lr_scales: dict[str, float] | None = None,
+                 m: dict[str, np.ndarray] | None = None, v: dict[str, np.ndarray] | None = None,
+                 step: int = 0):
+        params = list(params)
+        dtypes = {p.value.dtype for p in params} or {np.dtype(np.float32)}
+        if len(dtypes) > 1 or len({p.name for p in params}) < len(params):
+            raise ContractError(f"an optimizer state needs uniquely named parameters of one "
+                                f"dtype, got dtypes {sorted(map(str, dtypes))} and "
+                                f"{len({p.name for p in params})} names for {len(params)}")
+        dtype, = dtypes
+        offsets = np.cumsum([0] + [p.value.size for p in params])
+        used = int(offsets[-1])
+        total = used + used % 2  # even, so the buffers split into two rows, one per core
+        self.layout = {p.name: (int(o), p.value.shape) for p, o in zip(params, offsets)}
+        self.value, self.grad, self.m, self.v = (np.zeros(total, dtype) for _ in range(4))
+        # adamw_step's two scratch buffers, each a block of each row
+        self.scratch = np.empty((2, 2, min(total // 2, _ADAMW_BLOCK)), dtype)
+        self.step = step
+        for flat, views in ((self.value, [p.value.data for p in params]),
+                            (self.grad, [p.grad for p in params]),
+                            (self.m, m and [m[p.name] for p in params]),
+                            (self.v, v and [v[p.name] for p in params])):
+            if views:
+                np.concatenate([a.reshape(-1) for a in views], out=flat[:used])
+        values, grads = self.views(self.value), self.views(self.grad)
+        for p in params:
+            p.value.data, p.value.grad = values[p.name], grads[p.name]
+        # each parameter's lr factor and its element count, the last with the padding
+        self.scales = None if not lr_scales else np.array(
+            [lr_scales.get(p.name, 1.0) for p in params])
+        self.counts = np.diff(np.append(offsets[:-1], total))
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's segment of one of the flat buffers, by name."""
+        return {name: flat[o:o + math.prod(shape)].reshape(shape)
+                for name, (o, shape) in self.layout.items()}
 
 
-def adamw_step(params, state: OptimState, lr: float, beta1: float = 0.9,
-               beta2: float = 0.95, weight_decay: float = 0.05, eps: float = 1e-8,
-               lr_scales: dict[str, float] | None = None):
-    """Decoupled-weight-decay Adam with bias correction.
+def _adamw_update(p, g, m, v, lr, decay, beta1, beta2, c1, c2, eps, s1, s2):
+    """adamw_step's arithmetic over arrays of elements, in place, op for op
+    that of the per-parameter form below, where lr and decay are python
+    floats and numpy rounds each to the arrays' dtype:
+
+        p *= 1 - lr*wd; m = m*beta1 + (1-beta1)*g; v = v*beta2 + (1-beta2)*g*g
+        p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+
+    lr and decay are those rounded factors, one per element; s1 and s2 are
+    scratch shaped as p.
+    """
+    p *= decay
+    m *= beta1
+    m += np.multiply(g, 1.0 - beta1, out=s1)
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=s1)
+    v += np.multiply(s1, g, out=s1)
+    np.divide(m, c1, out=s1)
+    s1 *= lr
+    np.divide(v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    s1 /= s2
+    p -= s1
+
+
+# Elements of a row of the store that go through adamw_step's 15 passes
+# together. A block's arrays, values to scratch, then stay in the core's L2
+# cache from pass to pass: in (8,5,5) pretraining steps, the 376,704-element
+# store took 1.6 ms in blocks of 32,768, 1.7 ms in blocks of 65,536 and
+# 2.1 ms in one block.
+_ADAMW_BLOCK = 32_768
+
+
+def adamw_step(state: OptimState, lr: float, beta1: float = 0.9, beta2: float = 0.95,
+               weight_decay: float = 0.05, eps: float = 1e-8):
+    """Decoupled-weight-decay Adam with bias correction over the state's store.
 
     Decay is applied before the moment update (param *= 1 - lr*wd). Aborts
-    without mutating anything if any gradient is non-finite.
+    without mutating anything, naming the first parameter in store order
+    whose gradient is non-finite, if any is. The store goes through the
+    update as two rows, one per core when _by_clips splits them, each in
+    blocks of _ADAMW_BLOCK elements.
     """
     if lr < 0:
         raise ConfigError(f"lr must be >= 0, got {lr}")
-    params = list(params)
-    for p in params:
-        if not np.isfinite(p.grad).all():
-            raise NumericError(f"non-finite gradient in {p.name}; step aborted")
+    if not np.isfinite(state.grad).all():
+        first = np.argmin(np.isfinite(state.grad))
+        name = next(n for n, (o, shape) in state.layout.items() if first < o + math.prod(shape))
+        raise NumericError(f"non-finite gradient in {name}; step aborted")
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for p in params:
-        lr_p = lr * (lr_scales.get(p.name, 1.0) if lr_scales else 1.0)
-        g = p.grad
-        p.value.data *= 1.0 - lr_p * weight_decay
-        m = state.m[p.name]
-        v = state.v[p.name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p.value.data -= lr_p * (m / c1) / (np.sqrt(v / c2) + eps)
+    p, g, m, v = (a.reshape(2, -1) for a in (state.value, state.grad, state.m, state.v))
+    dt, cols = p.dtype, p.shape[1]
+    if state.scales is None:  # numpy rounds a python float factor once, to dt
+        lr_p, decay = (np.broadcast_to(np.array(f, dt), p.shape)
+                       for f in (lr, 1.0 - lr * weight_decay))
+    else:  # the same float64 products per parameter, rounded alike, per element
+        lr64 = lr * state.scales
+        lr_p, decay = (np.repeat(f.astype(dt), state.counts).reshape(p.shape)
+                       for f in (lr64, 1.0 - lr64 * weight_decay))
+    s1, s2 = state.scratch
+
+    def rows(ix):
+        for j in range(0, cols, _ADAMW_BLOCK):
+            n = min(_ADAMW_BLOCK, cols - j)
+            _adamw_update(*(a[ix, j:j + n] for a in (p, g, m, v, lr_p, decay)),
+                          beta1, beta2, c1, c2, eps, s1[ix, :n], s2[ix, :n])
+
+    tk._by_clips(rows, 2, cols // 2)
 
 
 def scaled_lr(base_lr: float, batch_size: int) -> float:
@@ -356,11 +438,10 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 # -- training loops ---------------------------------------------------------------
 
-def _train_steps(config: TrainConfig, n: int, rng: np.random.Generator,
-                 trainable: list[Param], state: OptimState, loss_of, start: int = 0,
-                 stop: int | None = None, lr_scales: dict[str, float] | None = None
-                 ) -> tuple[list, bool]:
-    """The step loop every trainer runs: lr, batch draw, zero-grad, tape, AdamW.
+def _train_steps(config: TrainConfig, n: int, rng: np.random.Generator, state: OptimState,
+                 loss_of, start: int = 0, stop: int | None = None) -> tuple[list, bool]:
+    """The step loop every trainer runs: lr, batch draw, zero-grad, tape, AdamW
+    over the parameters that state stores.
 
     Steps start..stop of the schedule for n items. Each step draws the batch
     indices from rng, then loss_of(indices) draws whatever else it needs and
@@ -375,8 +456,7 @@ def _train_steps(config: TrainConfig, n: int, rng: np.random.Generator,
     for step in range(start, total if stop is None else min(total, stop)):
         lr = cosine_warmup_lr(step, warmup, total, peak, config.lr_floor)
         idx = rng.choice(n, size=config.batch_size, replace=n < config.batch_size)
-        for p in trainable:
-            p.zero_grad()
+        state.grad.fill(0)
         with Tape() as tape:
             loss = loss_of(idx)
             loss_val = loss.item()
@@ -384,8 +464,7 @@ def _train_steps(config: TrainConfig, n: int, rng: np.random.Generator,
                 return trace, True
             tape.backward(loss)
         try:
-            adamw_step(trainable, state, lr, config.beta1, config.beta2,
-                       config.weight_decay, lr_scales=lr_scales)
+            adamw_step(state, lr, config.beta1, config.beta2, config.weight_decay)
         except NumericError:
             return trace, True
         trace.append((step, lr, loss_val))
@@ -413,8 +492,8 @@ def _make_checkpoint(params: MAEParams, extra_params: dict[str, Param] | None,
     if extra_params:
         values.update({n: p.value.data.copy() for n, p in extra_params.items()})
     return Checkpoint(params=values,
-                      optim_m={k: v.copy() for k, v in state.m.items()},
-                      optim_v={k: v.copy() for k, v in state.v.items()},
+                      optim_m={k: v.copy() for k, v in state.views(state.m).items()},
+                      optim_v={k: v.copy() for k, v in state.views(state.v).items()},
                       opt_step=state.step, step=step, config=dict(config),
                       rng_state=rng.bit_generator.state)
 
@@ -429,8 +508,8 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
     A resume runs under the checkpoint's own config: a model_cfg or config
     that differs from it in any key raises ConfigError naming each such key,
     and a checkpoint without AdamW moments for every parameter (a fine-tune
-    or probe checkpoint) or without a PCG64 generator state raises
-    CheckpointError.
+    or probe checkpoint), with moments shaped unlike their parameter, or
+    without a PCG64 generator state raises CheckpointError.
     """
     if len(dataset) == 0:
         raise ContractError("pretrain needs a nonempty dataset")
@@ -448,19 +527,23 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
     config_snap = snapshot_config(model_cfg, config)
     if resume is None:
         params = init_mae_params(model_cfg, seed=config.seed)
-        state, start_step = OptimState.for_params(params.values()), 0
+        state, start_step = OptimState(params.values()), 0
     else:
         if not resume.optim_m.keys() == resume.optim_v.keys() == params.params.keys():
             raise CheckpointError("resume needs AdamW moments for every parameter; this "
                                   f"checkpoint has them for {len(resume.optim_m)} of "
                                   f"{len(params.params)}")
+        for name, p in params.params.items():  # the store takes any shape of equal size
+            if not resume.optim_m[name].shape == resume.optim_v[name].shape == p.value.shape:
+                raise CheckpointError(f"checkpoint moments of {name!r} have shapes "
+                                      f"{resume.optim_m[name].shape} and "
+                                      f"{resume.optim_v[name].shape}, its value {p.value.shape}")
         differ = sorted(k for k in config_snap.keys() | resume.config.keys()
                         if config_snap.get(k) != resume.config.get(k))
         if differ:
             raise ConfigError("resume under a different config: " + ", ".join(
                 f"{k} {resume.config.get(k)} -> {config_snap.get(k)}" for k in differ))
-        state = OptimState(m={k: v.copy() for k, v in resume.optim_m.items()},
-                           v={k: v.copy() for k, v in resume.optim_v.items()},
+        state = OptimState(params.values(), m=resume.optim_m, v=resume.optim_v,
                            step=resume.opt_step)
         start_step = resume.step
 
@@ -488,8 +571,7 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
         return mae_loss_batch(grids[idx[:, None], visible], visible, params, masked,
                               targets[idx[:, None], masked])
 
-    trace, aborted = _train_steps(config, n, rng, list(params.values()), state, loss_of,
-                                  start_step, stop_step)
+    trace, aborted = _train_steps(config, n, rng, state, loss_of, start_step, stop_step)
     ckpt = _make_checkpoint(params, None, state, start_step + len(trace), config_snap, rng)
     return PretrainResult(ckpt, trace, aborted)
 
@@ -546,8 +628,7 @@ def _supervised_loop(params: MAEParams, train_ds, eval_ds, config: TrainConfig,
         return tk.cross_entropy(head_logits(features, head), labels[idx])
 
     trace, aborted = _train_steps(config, len(train_ds), np.random.default_rng(config.seed),
-                                  all_trainable, OptimState.for_params(all_trainable), loss_of,
-                                  lr_scales=lr_scales)
+                                  OptimState(all_trainable, lr_scales), loss_of)
     if aborted:
         return EvalResult(float("nan"), params, head, trace, aborted)
     same = eval_ds is train_ds

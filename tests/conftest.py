@@ -29,16 +29,17 @@ class _InlinePool:
     def __init__(self, log: list):
         self.log = log
 
-    def submit(self, fn, *args):
+    def submit(self, run, fn, *args):
+        # run is the Context.run that carries the caller's numpy error state
         self.log.append(fn.__qualname__.split(".")[0])
         future = futures.Future()
-        future.set_result(fn(*args))
+        future.set_result(run(fn, *args))
         return future
 
 
 @pytest.fixture
 def split_log(monkeypatch):
-    """The ops (`linear`, `attention_block`) of every split call, in order.
+    """The ops (`linear`, `attention_block`, `adamw_step`, ...) of every split call, in order.
 
     The pool is replaced, so splits are logged on any number of cores.
     """

@@ -261,8 +261,8 @@ def test_adamw_zero_grad_zero_decay_is_noop():
     rng = np.random.default_rng(0)
     params = [Param(rng.normal(size=(4, 3)), "w"), Param(rng.normal(size=(3,)), "b")]
     before = [p.value.data.copy() for p in params]
-    state = OptimState.for_params(params)
-    adamw_step(params, state, lr=1e-3, weight_decay=0.0)
+    state = OptimState(params)
+    adamw_step(state, lr=1e-3, weight_decay=0.0)
     for p, b in zip(params, before):
         assert np.array_equal(p.value.data, b)
 

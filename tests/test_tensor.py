@@ -718,6 +718,51 @@ def test_gelu_on_either_path_is_bitwise_the_serial_pass(monkeypatch, batch, dtyp
     assert run(kernel_gelu) == expect
 
 
+def _gelu_edges(dtype):
+    """+-0, +-inf, NaN with either sign bit, the smallest subnormals, inputs
+    whose x / sqrt2 lies within 16 ulps of 1 (where erf changes formula),
+    |x / sqrt2| above 3.9 (where erf saturates), and 64 normal draws; each
+    with both signs."""
+    info = np.finfo(dtype)
+    nan = np.array(np.nan, dtype)
+    near_one = dtype(math.sqrt(2.0)) + np.arange(-16, 17) * np.spacing(dtype(math.sqrt(2.0)))
+    tails = np.array([3.9, 4.0, 5.5, 6.0, 9.0, 27.0, 40.0, 1e10], dtype) * dtype(math.sqrt(2.0))
+    pos = np.concatenate([[0.0, np.inf, info.smallest_subnormal, 2 * info.smallest_subnormal,
+                           info.smallest_normal, info.max], near_one, tails,
+                          np.abs(np.random.default_rng(19).standard_normal(64))]).astype(dtype)
+    return np.concatenate([pos, -pos, [nan, np.copysign(nan, -1.0)]]).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+def test_gelu_is_bitwise_the_signed_erf_reference_at_edge_inputs(dtype):
+    # _gelu takes erf of |x / sqrt2| and the sign from fmin; the reference
+    # takes erf of the signed input. cdf and out agree byte for byte, NaNs
+    # and signed zeros included, and so does the input gradient built from
+    # either cdf. _serial_gelu's gradient sums in another order, so a NaN
+    # may carry the other sign there (a float64 NaN input, on x86-64).
+    x0 = _gelu_edges(dtype)
+    cdf, out, gx = np.empty_like(x0), np.empty_like(x0), np.empty_like(x0)
+    g = np.random.default_rng(20).standard_normal(x0.shape).astype(dtype)
+
+    def run(gelu):
+        x = Param(x0, "x", dtype=dtype)
+        with Tape() as tape:
+            y = gelu(x.value)
+            tape.backward(_dot(y, g))
+        return y.data, x.grad
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        tk._gelu(x0, cdf, out)
+        signed_cdf = 0.5 * (1.0 + erf(x0 * tk._INV_SQRT2))
+        tk._gelu_grads(x0, signed_cdf, g, gx)
+        gx = np.zeros_like(x0) + gx  # the tape adds it to a zero gradient: -0 becomes +0
+        (y, grad), (serial_y, serial_grad) = run(kernel_gelu), run(_serial_gelu)
+    assert cdf.tobytes() == signed_cdf.tobytes()
+    assert y.tobytes() == out.tobytes() == serial_y.tobytes()
+    assert grad.tobytes() == gx.tobytes()
+    np.testing.assert_array_equal(grad, serial_grad)
+
+
 def test_a_2d_linear_never_submits_to_the_pool(monkeypatch, split_log):
     # a 2-D x is one GEMM: its rows are not clips, and splitting them would
     # reorder the weight-gradient sum

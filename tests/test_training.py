@@ -10,13 +10,14 @@ import math
 import os
 import sys
 import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskvid import tensor as tk
+from maskvid import tensor as tk, training
 from maskvid.errors import (CheckpointError, ConfigError, ContractError,
                             NumericError)
 from maskvid.masking import make_mask
@@ -146,41 +147,41 @@ def test_adamw_single_step_hand_computed():
     # m=0.2, v=0.04, mhat=2, vhat=4 -> x -= 0.1 * 2/(2+1e-8)
     p = _scalar_param(1.0)
     p.grad[:] = 2.0
-    state = OptimState.for_params([p])
-    adamw_step([p], state, lr=0.1, beta1=0.9, beta2=0.99, weight_decay=0.0)
+    state = OptimState([p])
+    adamw_step(state, lr=0.1, beta1=0.9, beta2=0.99, weight_decay=0.0)
     np.testing.assert_allclose(p.value.data, [1.0 - 0.1 * 2.0 / (2.0 + 1e-8)],
                                rtol=1e-12)
 
 
 def test_adamw_zero_grad_zero_wd_is_noop():
     p = _scalar_param(3.0)
-    state = OptimState.for_params([p])
-    adamw_step([p], state, lr=0.5, weight_decay=0.0)
+    state = OptimState([p])
+    adamw_step(state, lr=0.5, weight_decay=0.0)
     np.testing.assert_array_equal(p.value.data, [3.0])
 
 
 def test_adamw_zero_lr_is_noop_even_with_gradient():
     p = _scalar_param(3.0)
     p.grad[:] = 5.0
-    state = OptimState.for_params([p])
-    adamw_step([p], state, lr=0.0, weight_decay=0.05)
+    state = OptimState([p])
+    adamw_step(state, lr=0.0, weight_decay=0.05)
     np.testing.assert_array_equal(p.value.data, [3.0])
 
 
 def test_adamw_weight_decay_is_decoupled():
     # zero gradient, wd on: pure multiplicative shrink by (1 - lr*wd)
     p = _scalar_param(2.0)
-    state = OptimState.for_params([p])
-    adamw_step([p], state, lr=0.1, weight_decay=0.5)
+    state = OptimState([p])
+    adamw_step(state, lr=0.1, weight_decay=0.5)
     np.testing.assert_allclose(p.value.data, [2.0 * (1 - 0.1 * 0.5)], rtol=1e-12)
 
 
 def test_adamw_rejects_non_finite_gradient_without_mutation():
     p = _scalar_param(1.0)
     p.grad[:] = np.nan
-    state = OptimState.for_params([p])
+    state = OptimState([p])
     with pytest.raises(NumericError):
-        adamw_step([p], state, lr=0.1)
+        adamw_step(state, lr=0.1)
     np.testing.assert_array_equal(p.value.data, [1.0])
     assert state.step == 0
 
@@ -189,11 +190,148 @@ def test_adamw_lr_scales_modulate_update():
     a, b = _scalar_param(0.0), Param(np.array([0.0]), "y", dtype=np.float64)
     a.grad[:] = 1.0
     b.grad[:] = 1.0
-    state = OptimState.for_params([a, b])
-    adamw_step([a, b], state, lr=0.1, weight_decay=0.0,
-               lr_scales={"x": 1.0, "y": 0.5})
+    state = OptimState([a, b], lr_scales={"x": 1.0, "y": 0.5})
+    adamw_step(state, lr=0.1, weight_decay=0.0)
     assert abs(a.value.data[0]) > abs(b.value.data[0]) > 0.0
     np.testing.assert_allclose(b.value.data[0], 0.5 * a.value.data[0], rtol=1e-9)
+
+
+def _loop_adamw(params, m, v, t, lr, beta1, beta2, weight_decay, eps=1e-8, lr_scales=None):
+    """The per-parameter AdamW loop, the flat store's oracle: each parameter's
+    lr and decay are python floats, which numpy rounds to the arrays' dtype."""
+    c1, c2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+    for p in params:
+        lr_p = lr * (lr_scales.get(p.name, 1.0) if lr_scales else 1.0)
+        g = p.grad
+        p.value.data *= 1.0 - lr_p * weight_decay
+        m[p.name] *= beta1
+        m[p.name] += (1.0 - beta1) * g
+        v[p.name] *= beta2
+        v[p.name] += (1.0 - beta2) * g * g
+        p.value.data -= lr_p * (m[p.name] / c1) / (np.sqrt(v[p.name] / c2) + eps)
+
+
+_STORE_SHAPES = {"a/w": (7, 5), "a/b": (5,), "b/w": (5, 3, 2), "b/g": (1,), "head": (4, 3)}
+
+
+def _store_params(rng, dtype=np.float32):
+    # 81 elements: an odd store, padded to two rows of 41
+    return [Param(rng.standard_normal(shape), name, dtype=dtype)
+            for name, shape in _STORE_SHAPES.items()]
+
+
+@pytest.mark.parametrize("block", [32_768, 7], ids=["one_block", "blocks_of_7"])
+@pytest.mark.parametrize("scales", [None, {"a/w": 0.5, "a/b": 0.5, "b/w": 0.75, "b/g": 0.3}],
+                         ids=["lr", "lr_scales"])
+@pytest.mark.parametrize("floor", [0, math.inf], ids=["split", "serial"])
+def test_flat_adamw_is_bitwise_the_per_parameter_loop(monkeypatch, split_log, floor, scales,
+                                                      block):
+    # weight decay 0.05 and per-parameter lr scales; 40 steps of fresh
+    # gradients along a warmup-cosine schedule from lr 0 to 0.9, whose decay
+    # factors round differently in float32 than in float64 for some
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
+    monkeypatch.setattr(training, "_ADAMW_BLOCK", block)
+    rng = np.random.default_rng(21)
+    flat, looped = _store_params(rng), _store_params(np.random.default_rng(21))
+    state = OptimState(flat, lr_scales=scales)
+    m = {p.name: np.zeros_like(p.value.data) for p in looped}
+    v = {p.name: np.zeros_like(p.value.data) for p in looped}
+    for t in range(1, 41):
+        lr = cosine_warmup_lr(t - 1, 4, 40, 0.9)
+        for a, b in zip(flat, looped):
+            a.grad[...] = b.grad[...] = rng.standard_normal(a.value.shape) * 10.0 ** (t % 4 - 2)
+        adamw_step(state, lr, 0.9, 0.95, 0.05)
+        _loop_adamw(looped, m, v, t, lr, 0.9, 0.95, 0.05, lr_scales=scales)
+        for p, q in zip(flat, looped):
+            assert p.value.data.tobytes() == q.value.data.tobytes(), (t, p.name)
+        for got, want in ((state.views(state.m), m), (state.views(state.v), v)):
+            assert [n for n in want if got[n].tobytes() != want[n].tobytes()] == []
+    assert split_log == ([] if floor else ["adamw_step"] * 40)
+
+
+def test_a_param_trained_by_a_store_keeps_its_gradient_there():
+    # Param.zero_grad and the model's fill in place, so a backward after
+    # either accumulates into the store's gradient buffer
+    params = init_mae_params(ModelConfig(dims=(2, 1, 1)), seed=0)
+    state = OptimState(params.values())
+    grads = state.views(state.grad)
+    x = Tensor(np.random.default_rng(22).standard_normal((2, 2, 1536)).astype(np.float32))
+    for zero_grad in (params.zero_grad, lambda: [p.zero_grad() for p in params.values()],
+                      lambda: state.grad.fill(0)):
+        zero_grad()
+        with Tape() as tape:
+            tape.backward(tk.mse(cube_embed(x, params), np.zeros((2, 2, 64), np.float32)))
+        for p in params.values():
+            assert np.shares_memory(p.grad, state.grad)
+            assert np.shares_memory(p.value.data, state.value)
+            assert grads[p.name].tobytes() == p.grad.tobytes()
+        assert params["embed/w"].grad.any()
+
+
+def test_a_non_finite_gradient_aborts_the_store_naming_its_parameter():
+    params = _store_params(np.random.default_rng(23))
+    state = OptimState(params)
+    for p in params:
+        p.grad[...] = 1.0
+    adamw_step(state, 0.1)
+    params[3].grad[0] = np.inf
+    params[4].grad[1, 1] = np.nan
+    before = [a.tobytes() for a in (state.value, state.grad, state.m, state.v)]
+    with pytest.raises(NumericError, match="non-finite gradient in b/g;"):
+        adamw_step(state, 0.1)
+    assert [a.tobytes() for a in (state.value, state.grad, state.m, state.v)] == before
+    assert state.step == 1
+
+
+def test_an_optimizer_state_rejects_mixed_dtypes_and_repeated_names():
+    with pytest.raises(ContractError, match="one dtype"):
+        OptimState([Param(np.zeros(2), "a"), Param(np.zeros(2), "b", dtype=np.float64)])
+    with pytest.raises(ContractError, match="uniquely named"):
+        OptimState([Param(np.zeros(2), "a"), Param(np.ones(3), "a")])
+
+
+class _StartedPool:
+    """A one-thread pool whose submit returns only once the worker has begun
+    the call, so a split's upper half always runs on the worker thread."""
+
+    def __init__(self):
+        self.pool = futures.ThreadPoolExecutor(max_workers=1)
+
+    def submit(self, fn, *args):
+        started = threading.Event()
+
+        def run():
+            started.set()
+            return fn(*args)
+
+        future = self.pool.submit(run)
+        started.wait()
+        return future
+
+
+@pytest.mark.parametrize("op", ["adamw_step", "pixel_mse"])
+def test_numpy_error_state_holds_on_the_worker_half_of_a_split(monkeypatch, op):
+    # the overflow is planted in the upper half only, which the worker runs
+    monkeypatch.setattr(tk, "_SPLIT_FLOOR", 0)
+    pool = _StartedPool()
+    monkeypatch.setattr(tk, "_POOL", pool)
+    if op == "adamw_step":
+        params = _store_params(np.random.default_rng(25))
+        params[-1].grad[...] = 1e30  # (1 - beta2) * g * g overflows float32
+        state = OptimState(params)
+        call = functools.partial(adamw_step, state, 0.1)
+    else:
+        x, w, b = (Tensor(np.ones(shape, np.float32)) for shape in ((2, 3, 4), (4, 6), (6,)))
+        targets = np.zeros((2, 3, 6), np.float32)
+        targets[1] = -1e30  # the second clip's squared error overflows
+        call = functools.partial(tk.pixel_mse, x, w, b, np.zeros((2, 3), int), targets)
+    try:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            call()
+        with np.errstate(over="ignore"):
+            call()
+    finally:
+        pool.pool.shutdown()
 
 
 # -- schedule math ---------------------------------------------------------------
@@ -333,7 +471,7 @@ def _reference_save_checkpoint(ckpt: Checkpoint, path: str):
 def _finetune_checkpoint(pretrained: Checkpoint) -> Checkpoint:
     """A checkpoint as `maskvid finetune` writes one: encoder, head, no moments."""
     params = params_from_checkpoint(pretrained)
-    return _make_checkpoint(params, init_head_params(params.config), OptimState.for_params([]),
+    return _make_checkpoint(params, init_head_params(params.config), OptimState([]),
                             3, snapshot_config(params.config, TrainConfig(mode="finetune")),
                             np.random.default_rng(5))
 
@@ -436,6 +574,20 @@ def test_resume_from_a_checkpoint_without_a_pcg64_state_raises_checkpoint_error(
         pretrain(cfg, ds, resume=dataclasses.replace(half, rng_state=rng_state))
 
 
+@pytest.mark.parametrize("moment", ["optim_m", "optim_v"])
+def test_resume_with_moments_shaped_unlike_their_parameter_raises_checkpoint_error(moment):
+    # (1, 64) holds as many elements as embed/b's (64,): the flat store would
+    # take it, and the parent's per-parameter loop raised a raw ValueError
+    cfg = TrainConfig(base_lr=0.1, batch_size=2, total_steps=2, seed=0,
+                      mask_strategy="tube", mask_ratio=0.9)
+    ds = synth_moving_sprites(seed=0, count=4, noise_level=0.0)
+    half = pretrain(cfg, ds, model_cfg=_tiny_cfg_64(), stop_step=1).checkpoint
+    moments = dict(getattr(half, moment))
+    moments["embed/b"] = moments["embed/b"].reshape(1, -1)
+    with pytest.raises(CheckpointError, match="embed/b"):
+        pretrain(cfg, ds, resume=dataclasses.replace(half, **{moment: moments}))
+
+
 def test_loss_trace_csv_format(tmp_path):
     (result, _, _), _ = _small_pretrain(tmp_path), None
     path = tmp_path / "trace.csv"
@@ -494,8 +646,7 @@ def _per_step_classify_run(params, train_ds, eval_ds, config, finetuning):
         p.value.requires_grad = finetuning
     try:
         trace, aborted = _train_steps(config, len(train_ds), np.random.default_rng(config.seed),
-                                      trainable, OptimState.for_params(trainable), loss_of,
-                                      lr_scales=scales)
+                                      OptimState(trainable, scales), loss_of)
     finally:
         for p in encoder:
             p.value.requires_grad = True

@@ -23,8 +23,9 @@ The replay covers:
 - a 40-step fine-tune and a 40-step linear probe from the saved and reloaded
   tube checkpoint, on 4 labelled clips and again on 3 of them (batch 4, so
   batches repeat clips), and on the 4 clips evaluated on themselves, the
-  transfer benchmark's call shape: traces, accuracies, encoder parameters and
-  head;
+  transfer benchmark's call shape, and a fine-tune with weight decay 0.05,
+  which each layer's lr scale multiplies: traces, accuracies, encoder
+  parameters and head;
 - `classify` with the first fine-tuned model on the 16 held-out clips and on
   5 of them (a batch whose halves are uneven): logits;
 - `maskvid reconstruct` from that checkpoint: every PPM file it writes;
@@ -99,6 +100,14 @@ def replay_pretrain(dataset, name: str, strategy: str, ratio: float, steps: int,
     return ckpt
 
 
+def emit_transfer(name: str, result):
+    emit(f"{name}/trace", digest(result.trace))
+    emit(f"{name}/accuracy", digest(result.accuracy))
+    emit(f"{name}/params", arrays_digest({n: p.value.data for n, p in
+                                           result.params.params.items()}))
+    emit(f"{name}/head", arrays_digest({n: p.value.data for n, p in result.head.items()}))
+
+
 def replay_training(workdir: str) -> str:
     """The pretraining cells and the transfer runs; returns the tube checkpoint's path."""
     pre_ds = synth_moving_sprites(0, 16, **SPRITES)
@@ -124,18 +133,16 @@ def replay_training(workdir: str) -> str:
                               batch_size=4, weight_decay=0.0, seed=0)
             result = runner(load_checkpoint(tube_path), labelled, evaluated, cfg)
             name = mode + suffix
-            emit(f"{name}/trace", digest(result.trace))
-            emit(f"{name}/accuracy", digest(result.accuracy))
-            emit(f"{name}/params", arrays_digest({n: p.value.data for n, p in
-                                                   result.params.params.items()}))
-            emit(f"{name}/head", arrays_digest({n: p.value.data for n, p in
-                                                 result.head.items()}))
+            emit_transfer(name, result)
             if name == "finetune":
                 clips = [clip for clip, _ in eval_ds]
                 for count in (16, 5):
                     logits = classify(clips[:count], result.params, result.head).data
                     emit(f"classify_{count}clips/logits",
                          digest(logits.shape, str(logits.dtype), logits.tobytes()))
+    cfg = TrainConfig(mode="finetune", beta2=0.999, total_steps=40, base_lr=0.256,
+                      batch_size=4, weight_decay=0.05, seed=0)
+    emit_transfer("finetune_wd0.05", finetune(load_checkpoint(tube_path), train_ds, eval_ds, cfg))
     return tube_path
 
 
