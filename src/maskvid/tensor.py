@@ -186,11 +186,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # faster split, of 184 rows (282,624) 7% faster; a half of 16-token clips
 # with targets (24,576 entries) was slower, of 32 tokens (49,152) faster; a
 # half of bare cubes was no faster below 200 tokens (307,200 entries).
-# training.adamw_step's blocked update was slower split for stores of up to
-# 376,800 elements (1.61 against 2.14 ms serial and split), even at 600,000
-# (2.97 and 3.04 ms) and faster at 1,000,000 (4.65 and 4.27 ms), on a day
-# when the second core came and went; in (8,5,5) pretraining steps its
-# 376,704-element store took 1.71 ms serial and 1.64 ms split.
 _SPLIT_FLOOR = 200_000
 _POOL: Optional[futures.ThreadPoolExecutor] = None
 
@@ -213,9 +208,7 @@ def _by_clips(fn: Callable, clips: int, per_clip: int):
     counts rows x K x M / 32 per clip, none when K < 64. pixel_mse counts
     one per output entry, rows x M. video.stack_cubes counts per token
     entry (N x 1536 a clip) one to stack cubes and five to stack them with
-    their normalized targets. training.adamw_step splits its flat store's
-    two rows and counts half a unit per element of a row, so a store splits
-    from 800,000 elements. If the worker has not started its half by
+    their normalized targets. If the worker has not started its half by
     the time this one is done (its core is busy elsewhere), that half runs
     here too.
 

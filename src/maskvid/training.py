@@ -121,26 +121,25 @@ class OptimState:
                                 f"{len({p.name for p in params})} names for {len(params)}")
         dtype, = dtypes
         offsets = np.cumsum([0] + [p.value.size for p in params])
-        used = int(offsets[-1])
-        total = used + used % 2  # even, so the buffers split into two rows, one per core
+        total = int(offsets[-1])
         self.layout = {p.name: (int(o), p.value.shape) for p, o in zip(params, offsets)}
         self.value, self.grad, self.m, self.v = (np.zeros(total, dtype) for _ in range(4))
-        # adamw_step's two scratch buffers, each a block of each row
-        self.scratch = np.empty((2, 2, min(total // 2, _ADAMW_BLOCK)), dtype)
+        self.scratch = np.empty((2, min(total, _ADAMW_BLOCK)), dtype)  # adamw_step's, a block each
         self.step = step
         for flat, views in ((self.value, [p.value.data for p in params]),
                             (self.grad, [p.grad for p in params]),
                             (self.m, m and [m[p.name] for p in params]),
                             (self.v, v and [v[p.name] for p in params])):
             if views:
-                np.concatenate([a.reshape(-1) for a in views], out=flat[:used])
+                np.concatenate([a.reshape(-1) for a in views], out=flat)
         values, grads = self.views(self.value), self.views(self.grad)
         for p in params:
             p.value.data, p.value.grad = values[p.name], grads[p.name]
-        # each parameter's lr factor and its element count, the last with the padding
-        self.scales = None if not lr_scales else np.array(
-            [lr_scales.get(p.name, 1.0) for p in params])
-        self.counts = np.diff(np.append(offsets[:-1], total))
+        # (start, stop, lr scale) of each run of consecutive parameters with one scale
+        scales = [(lr_scales or {}).get(p.name, 1.0) for p in params]
+        firsts = [i for i, s in enumerate(scales) if i == 0 or s != scales[i - 1]]
+        self.runs = [(int(offsets[i]), int(offsets[j]), scales[i])
+                     for i, j in zip(firsts, firsts[1:] + [len(params)])]
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's segment of one of the flat buffers, by name."""
@@ -156,8 +155,8 @@ def _adamw_update(p, g, m, v, lr, decay, beta1, beta2, c1, c2, eps, s1, s2):
         p *= 1 - lr*wd; m = m*beta1 + (1-beta1)*g; v = v*beta2 + (1-beta2)*g*g
         p -= lr * (m / c1) / (sqrt(v / c2) + eps)
 
-    lr and decay are those rounded factors, one per element; s1 and s2 are
-    scratch shaped as p.
+    lr and decay are those rounded factors, scalars of the arrays' dtype;
+    s1 and s2 are scratch shaped as p.
     """
     p *= decay
     m *= beta1
@@ -174,11 +173,11 @@ def _adamw_update(p, g, m, v, lr, decay, beta1, beta2, c1, c2, eps, s1, s2):
     p -= s1
 
 
-# Elements of a row of the store that go through adamw_step's 15 passes
-# together. A block's arrays, values to scratch, then stay in the core's L2
-# cache from pass to pass: in (8,5,5) pretraining steps, the 376,704-element
-# store took 1.6 ms in blocks of 32,768, 1.7 ms in blocks of 65,536 and
-# 2.1 ms in one block.
+# Elements of the store that go through adamw_step's 15 passes together. A
+# block's arrays, values to scratch, then stay in the core's L2 cache from
+# pass to pass: in (8,5,5) pretraining steps, the 376,704-element store took
+# 1.6 ms in blocks of 32,768, 1.7 ms in blocks of 65,536 and 2.1 ms in one
+# block.
 _ADAMW_BLOCK = 32_768
 
 
@@ -188,9 +187,10 @@ def adamw_step(state: OptimState, lr: float, beta1: float = 0.9, beta2: float = 
 
     Decay is applied before the moment update (param *= 1 - lr*wd). Aborts
     without mutating anything, naming the first parameter in store order
-    whose gradient is non-finite, if any is. The store goes through the
-    update as two rows, one per core when _by_clips splits them, each in
-    blocks of _ADAMW_BLOCK elements.
+    whose gradient is non-finite, if any is. The update runs serially over
+    each run of parameters sharing an lr scale, in blocks of _ADAMW_BLOCK
+    elements, with that run's factors rounded once to the store's dtype as
+    numpy rounds the python floats of a per-parameter loop.
     """
     if lr < 0:
         raise ConfigError(f"lr must be >= 0, got {lr}")
@@ -202,24 +202,14 @@ def adamw_step(state: OptimState, lr: float, beta1: float = 0.9, beta2: float = 
     t = state.step
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    p, g, m, v = (a.reshape(2, -1) for a in (state.value, state.grad, state.m, state.v))
-    dt, cols = p.dtype, p.shape[1]
-    if state.scales is None:  # numpy rounds a python float factor once, to dt
-        lr_p, decay = (np.broadcast_to(np.array(f, dt), p.shape)
-                       for f in (lr, 1.0 - lr * weight_decay))
-    else:  # the same float64 products per parameter, rounded alike, per element
-        lr64 = lr * state.scales
-        lr_p, decay = (np.repeat(f.astype(dt), state.counts).reshape(p.shape)
-                       for f in (lr64, 1.0 - lr64 * weight_decay))
-    s1, s2 = state.scratch
-
-    def rows(ix):
-        for j in range(0, cols, _ADAMW_BLOCK):
-            n = min(_ADAMW_BLOCK, cols - j)
-            _adamw_update(*(a[ix, j:j + n] for a in (p, g, m, v, lr_p, decay)),
-                          beta1, beta2, c1, c2, eps, s1[ix, :n], s2[ix, :n])
-
-    tk._by_clips(rows, 2, cols // 2)
+    to_dtype, (s1, s2) = state.value.dtype.type, state.scratch
+    for start, stop, scale in state.runs:
+        lr_p = lr * scale
+        lr_f, decay = to_dtype(lr_p), to_dtype(1.0 - lr_p * weight_decay)
+        for j in range(start, stop, _ADAMW_BLOCK):
+            k = min(j + _ADAMW_BLOCK, stop)
+            _adamw_update(*(a[j:k] for a in (state.value, state.grad, state.m, state.v)),
+                          lr_f, decay, beta1, beta2, c1, c2, eps, s1[:k - j], s2[:k - j])
 
 
 def scaled_lr(base_lr: float, batch_size: int) -> float:

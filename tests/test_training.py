@@ -215,7 +215,7 @@ _STORE_SHAPES = {"a/w": (7, 5), "a/b": (5,), "b/w": (5, 3, 2), "b/g": (1,), "hea
 
 
 def _store_params(rng, dtype=np.float32):
-    # 81 elements: an odd store, padded to two rows of 41
+    # 81 elements, in four runs of lr scale under the scales below
     return [Param(rng.standard_normal(shape), name, dtype=dtype)
             for name, shape in _STORE_SHAPES.items()]
 
@@ -223,13 +223,10 @@ def _store_params(rng, dtype=np.float32):
 @pytest.mark.parametrize("block", [32_768, 7], ids=["one_block", "blocks_of_7"])
 @pytest.mark.parametrize("scales", [None, {"a/w": 0.5, "a/b": 0.5, "b/w": 0.75, "b/g": 0.3}],
                          ids=["lr", "lr_scales"])
-@pytest.mark.parametrize("floor", [0, math.inf], ids=["split", "serial"])
-def test_flat_adamw_is_bitwise_the_per_parameter_loop(monkeypatch, split_log, floor, scales,
-                                                      block):
+def test_flat_adamw_is_bitwise_the_per_parameter_loop(monkeypatch, scales, block):
     # weight decay 0.05 and per-parameter lr scales; 40 steps of fresh
     # gradients along a warmup-cosine schedule from lr 0 to 0.9, whose decay
     # factors round differently in float32 than in float64 for some
-    monkeypatch.setattr(tk, "_SPLIT_FLOOR", floor)
     monkeypatch.setattr(training, "_ADAMW_BLOCK", block)
     rng = np.random.default_rng(21)
     flat, looped = _store_params(rng), _store_params(np.random.default_rng(21))
@@ -246,7 +243,6 @@ def test_flat_adamw_is_bitwise_the_per_parameter_loop(monkeypatch, split_log, fl
             assert p.value.data.tobytes() == q.value.data.tobytes(), (t, p.name)
         for got, want in ((state.views(state.m), m), (state.views(state.v), v)):
             assert [n for n in want if got[n].tobytes() != want[n].tobytes()] == []
-    assert split_log == ([] if floor else ["adamw_step"] * 40)
 
 
 def test_a_param_trained_by_a_store_keeps_its_gradient_there():
@@ -309,22 +305,15 @@ class _StartedPool:
         return future
 
 
-@pytest.mark.parametrize("op", ["adamw_step", "pixel_mse"])
-def test_numpy_error_state_holds_on_the_worker_half_of_a_split(monkeypatch, op):
+def test_numpy_error_state_holds_on_the_worker_half_of_a_split(monkeypatch):
     # the overflow is planted in the upper half only, which the worker runs
     monkeypatch.setattr(tk, "_SPLIT_FLOOR", 0)
     pool = _StartedPool()
     monkeypatch.setattr(tk, "_POOL", pool)
-    if op == "adamw_step":
-        params = _store_params(np.random.default_rng(25))
-        params[-1].grad[...] = 1e30  # (1 - beta2) * g * g overflows float32
-        state = OptimState(params)
-        call = functools.partial(adamw_step, state, 0.1)
-    else:
-        x, w, b = (Tensor(np.ones(shape, np.float32)) for shape in ((2, 3, 4), (4, 6), (6,)))
-        targets = np.zeros((2, 3, 6), np.float32)
-        targets[1] = -1e30  # the second clip's squared error overflows
-        call = functools.partial(tk.pixel_mse, x, w, b, np.zeros((2, 3), int), targets)
+    x, w, b = (Tensor(np.ones(shape, np.float32)) for shape in ((2, 3, 4), (4, 6), (6,)))
+    targets = np.zeros((2, 3, 6), np.float32)
+    targets[1] = -1e30  # the second clip's squared error overflows
+    call = functools.partial(tk.pixel_mse, x, w, b, np.zeros((2, 3), int), targets)
     try:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             call()

@@ -1,19 +1,18 @@
 """Check `tensor._gelu` against GELU through the signed erf on every float32 input.
 
-    PYTHONPATH=src python3 tools/gelu_sweep.py            # 2^22 patterns a chunk
+    PYTHONPATH=src python3 tools/gelu_sweep.py
 
 `_gelu` evaluates erf on |x / sqrt2| and takes the sign back from
 fmin(x / sqrt2, 0). This compares its cdf and its output, bit for bit, with
 0.5 * (1 + erf(x / sqrt2)) and x times that, over all 2^32 float32 bit
-patterns: NaNs of either sign, infinities, signed zeros and subnormals
-included. It prints the mismatching patterns, at most ten, and a summary
-line, and exits 1 if any pattern differs. It holds about 100 MB and takes a
-few minutes on one core.
+patterns, 2^22 at a time: NaNs of either sign, infinities, signed zeros
+and subnormals included. It takes no arguments, prints the mismatching
+patterns, at most ten, and a summary line, and exits 1 if any pattern
+differs. It holds about 100 MB and takes a few minutes on one core.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
@@ -22,14 +21,15 @@ from scipy.special import erf
 
 from maskvid import tensor as tk
 
+_CHUNK = 1 << 22  # patterns checked at a time
 
-def sweep(chunk_bits: int) -> int:
-    size = 1 << chunk_bits
-    offsets, bits = np.arange(size, dtype=np.uint32), np.empty(size, np.uint32)
-    cdf, out = np.empty(size, np.float32), np.empty(size, np.float32)
+
+def main() -> int:
+    offsets, bits = np.arange(_CHUNK, dtype=np.uint32), np.empty(_CHUNK, np.uint32)
+    cdf, out = np.empty(_CHUNK, np.float32), np.empty(_CHUNK, np.float32)
     x = bits.view(np.float32)
     mismatched, start = 0, time.perf_counter()
-    for first in range(0, 1 << 32, size):
+    for first in range(0, 1 << 32, _CHUNK):
         np.add(offsets, np.uint32(first), out=bits)
         with np.errstate(all="ignore"):
             tk._gelu(x, cdf, out)
@@ -44,13 +44,6 @@ def sweep(chunk_bits: int) -> int:
     print(f"gelu_sweep: {mismatched} of {1 << 32} float32 patterns differ "
           f"({time.perf_counter() - start:.0f} s)")
     return 1 if mismatched else 0
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--chunk-bits", type=int, default=22, choices=range(8, 33),
-                        metavar="{8..32}", help="log2 of the patterns checked per chunk")
-    return sweep(parser.parse_args().chunk_bits)
 
 
 if __name__ == "__main__":
