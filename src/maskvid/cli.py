@@ -13,8 +13,6 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from . import gradsuite
 from .errors import MaskvidError, ConfigError, NumericError
 from .experiments import AXES, AblationSpec, run_ablation, summarize, write_report
@@ -22,8 +20,8 @@ from .masking import STRATEGIES, make_mask, mask_to_text
 from .model import ModelConfig, reconstruct
 from .training import (SNAPSHOT_FIELDS, TrainConfig, decode_config, field_types, finetune,
                        linear_probe, load_checkpoint, params_from_checkpoint, pretrain,
-                       save_checkpoint, snapshot_config, write_loss_trace, _check_clip_grids,
-                       _make_checkpoint, OptimState)
+                       save_checkpoint, snapshot_config, supervised_checkpoint,
+                       write_loss_trace, _check_clip_grids)
 from .video import clip_size, read_raw_clip, synth_moving_sprites
 from .viz import frame_to_image, gray_masked_cubes, mask_heatmap, write_ppm
 
@@ -148,11 +146,8 @@ def _cmd_supervised(args, runner, tag: str) -> int:
     if result.aborted:
         _log(f"{tag}_aborted", step=len(result.trace))
         return 2
-    rng = np.random.default_rng(train_cfg.seed)
-    state = OptimState([])
-    full = _make_checkpoint(result.params, result.head, state, len(result.trace),
-                            snapshot_config(params.config, train_cfg), rng)
-    save_checkpoint(full, os.path.join(out, f"{tag}.ckpt"))
+    save_checkpoint(supervised_checkpoint(result.params, result.head, len(result.trace),
+                                          train_cfg), os.path.join(out, f"{tag}.ckpt"))
     _log(f"{tag}_done", accuracy=f"{result.accuracy:.4f}", out=out)
     return 0
 

@@ -52,6 +52,15 @@ class AblationSpec:
         if self.regime not in ("same_epochs", "same_iterations"):
             raise ConfigError(f"unknown regime {self.regime!r}")
 
+    def sprites(self, offset: int, count: int):
+        """count sprite clips at the spec's grid, noise and sprite extent, drawn
+        with seed data_seed + offset: a cell pretrains on offset 0, fine-tunes
+        on offset 1 (label_clips) and evaluates on offset 2 (eval_clips)."""
+        return synth_moving_sprites(self.data_seed + offset, count,
+                                    size=clip_size(self.model_cfg.dims),
+                                    noise_level=self.noise_level,
+                                    sprite_extent=self.sprite_extent)
+
 
 @dataclass
 class ReportRow:
@@ -69,12 +78,6 @@ class ReportRow:
 
 
 REPORT_FIELDS = tuple(f.name for f in fields(ReportRow))
-
-
-def _sprites(spec: AblationSpec, seed: int, count: int):
-    return synth_moving_sprites(seed, count, size=clip_size(spec.model_cfg.dims),
-                                noise_level=spec.noise_level,
-                                sprite_extent=spec.sprite_extent)
 
 
 def _mean_leakage(strategy: str, dims, ratio: float, n: int = 200) -> float:
@@ -172,13 +175,13 @@ def run_ablation(spec: AblationSpec) -> list[ReportRow]:
             raise ConfigError(f"ablate.values on the {spec.axis} axis must be "
                               f"{axis.value_type.__name__}s, got {value!r}")
     cells = [axis.cell(spec, value) for value in spec.values]
-    train_ds = _sprites(spec, spec.data_seed + 1, spec.label_clips)
-    eval_ds = _sprites(spec, spec.data_seed + 2, spec.eval_clips)
+    train_ds = spec.sprites(1, spec.label_clips)
+    eval_ds = spec.sprites(2, spec.eval_clips)
     pre_ds = {}
     rows = []
     for value, model_cfg, pretrain_cfg, n_pre in cells:
         if n_pre not in pre_ds:
-            pre_ds[n_pre] = _sprites(spec, spec.data_seed, n_pre)
+            pre_ds[n_pre] = spec.sprites(0, n_pre)
         for seed in spec.seeds:
             rows.append(_run_cell(spec, value, seed, replace(pretrain_cfg, seed=seed),
                                   model_cfg, pre_ds[n_pre], train_ds, eval_ds))

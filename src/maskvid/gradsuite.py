@@ -1,10 +1,11 @@
 """Finite-difference verification of every primitive and the whole model.
 
 Everything here runs in float64: central differences at h=1e-5 drown in
-float32 rounding. The full-model check probes a random subset of entries per
-parameter tensor so the suite stays under a minute. attention_block records
-one tape entry for the whole block, so its attention and GELU kernels are
-also checked alone, each wrapped here as a recorded op.
+float32 rounding. The full-model checks, of the full-grid forward and of
+pretraining's own loss path, probe a random subset of entries per parameter
+tensor so the suite stays under a minute. attention_block records one tape
+entry for the whole block, so its attention and GELU kernels are also
+checked alone, each wrapped here as a recorded op.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 from . import tensor as tk
 from .errors import DimensionError
 from .masking import make_mask
-from .model import ModelConfig, init_mae_params, init_head_params, mae_forward_batch, classify
+from .model import (ModelConfig, classify, init_head_params, init_mae_params, mae_forward_batch,
+                    mae_loss_batch)
 from .tensor import Param, Tensor, finite_diff_check
 from .training import masked_mse_loss
 from .video import VideoClip, clip_size, cubify, normalize_cube_targets
@@ -175,18 +177,38 @@ def primitive_checks(seed: int = 0) -> dict[str, float]:
     return out
 
 
-def mae_forward_check(samples_per_param: int = 4, seed: int = 0,
-                      config: ModelConfig | None = None) -> float:
-    """End-to-end gradient check of pretraining loss on the desk config."""
-    cfg = config or ModelConfig(depth_enc=2, depth_dec=2)
+def _mae_case(seed: int):
+    """The desk config with 2 encoder and 2 decoder blocks: float64 params at a
+    generic point, a random clip's cube grid and a tube-0.9 mask."""
+    cfg = ModelConfig(depth_enc=2, depth_dec=2)
     rng = np.random.default_rng(seed)
     params = _generic_mae_params(cfg, rng)
     grid = cubify(VideoClip(rng.random((3, *clip_size(cfg.dims)))))
-    mask = make_mask("tube", (cfg.dims[0], cfg.spatial_sites), 0.9, rng)
+    return params, grid, make_mask("tube", (cfg.dims[0], cfg.spatial_sites), 0.9, rng)
+
+
+def mae_forward_check(samples_per_param: int = 4, seed: int = 0) -> float:
+    """End-to-end gradient check of pretraining loss on the desk config, through
+    the full-grid forward and masked_mse_loss."""
+    params, grid, mask = _mae_case(seed)
 
     def f():
         pred = mae_forward_batch(grid.tokens[None], mask.visible_indices[None], params)
         return masked_mse_loss(pred, normalize_cube_targets(grid).values[None], [mask])
+
+    return finite_diff_check(f, params.values(), samples_per_param=samples_per_param,
+                             seed=seed)
+
+
+def mae_loss_check(samples_per_param: int = 4, seed: int = 0) -> float:
+    """mae_forward_check's case through the path pretraining runs, mae_loss_batch:
+    the visible cubes in, the fused pixel loss of the masked rows out."""
+    params, grid, mask = _mae_case(seed)
+    visible, masked = mask.visible_indices[None], mask.masked_indices[None]
+    cubes, targets = grid.tokens[visible], normalize_cube_targets(grid).values[masked]
+
+    def f():
+        return mae_loss_batch(cubes, visible, params, masked, targets)
 
     return finite_diff_check(f, params.values(), samples_per_param=samples_per_param,
                              seed=seed)
@@ -212,9 +234,9 @@ def classify_check(samples_per_param: int = 4, seed: int = 0) -> float:
 
 
 def run_gradient_suite(verbose: bool = False, seed: int = 0) -> float:
-    """Max relative error across primitives, the MAE forward, and classify."""
+    """Max relative error across primitives, the MAE forward and loss, and classify."""
     checks = {**primitive_checks(seed), "mae_forward_batch": mae_forward_check(seed=seed),
-              "classify": classify_check(seed=seed)}
+              "mae_loss_batch": mae_loss_check(seed=seed), "classify": classify_check(seed=seed)}
     worst = 0.0
     for name, err in checks.items():
         if verbose:

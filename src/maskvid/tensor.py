@@ -178,14 +178,21 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # pay for its handoff, counted in attention score entries; _by_clips names
 # each op's equivalent. Measured in situ on 2 cores, in fine-tune and
 # pretraining steps: attention halves of 160,000 entries or fewer were
-# slower, of 204,800 or more faster. linear and attention_block set their
-# units so that their crossovers fall on the same floor: a block of 48
-# encoder tokens (178,176 units a half at batch 4) was no faster split, one
-# of 88 or 96 tokens 7% faster. So do pixel_mse and video.stack_cubes: a
-# pixel loss half of one clip's 100 masked rows (153,600 entries) was no
-# faster split, of 184 rows (282,624) 7% faster; a half of 16-token clips
-# with targets (24,576 entries) was slower, of 32 tokens (49,152) faster; a
-# half of bare cubes was no faster below 200 tokens (307,200 entries).
+# slower, of 204,800 or more faster. attention_block sets its units so that
+# its crossover falls on the same floor: a block of 48 encoder tokens
+# (178,176 units a half at batch 4) was no faster split, one of 88 or 96
+# tokens 7% faster. So do pixel_mse, linear and video.stack_cubes: a pixel
+# loss half of one clip's 100 masked rows (153,600 entries) was no faster
+# split, of 184 rows (282,624) 7% faster; a half of 16-token clips with
+# targets (24,576 entries) was slower, of 32 tokens (49,152) faster; a half
+# of bare cubes was no faster below 200 tokens (307,200 entries). linear
+# counts as pixel_mse does, the entries of the larger of its input and
+# output. Split against serial, call by call in (8,5,5) runs: a ratio-0.75
+# step's 48-row embedding (147,456 entries a half) took 1.15-1.31x and stays
+# serial; the full-grid K = 32 pixel projections (614,400 and more) took
+# 1.01-1.05x and split; 200-row embeddings took 1.00-1.09x, yet forcing them
+# serial lost the transfer benchmark end to end (122.7 against 133.4
+# clips/s over 6 alternating pairs).
 _SPLIT_FLOOR = 200_000
 _POOL: Optional[futures.ThreadPoolExecutor] = None
 
@@ -205,8 +212,9 @@ def _by_clips(fn: Callable, clips: int, per_clip: int):
     attention score entry. attention_block counts heads x N^2 + 3.5 x N x
     hidden + N x D x (4D + 2 hidden) / 64 per clip: its scores, its GELU
     elements at 3.5 each, and its GEMMs at 64 multiply-adds each. linear
-    counts rows x K x M / 32 per clip, none when K < 64. pixel_mse counts
-    one per output entry, rows x M. video.stack_cubes counts per token
+    counts the entries of the larger of its input and output, rows x
+    max(K, M) per clip, and pixel_mse, whose output is the wider, one per
+    output entry, rows x M. video.stack_cubes counts per token
     entry (N x 1536 a clip) one to stack cubes and five to stack them with
     their normalized targets. If the worker has not started its half by
     the time this one is done (its core is busy elsewhere), that half runs
@@ -431,9 +439,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: Optional[np.ndarray] = None) -
     xd, wd = x.data, w.data
     k, m = wd.shape
     # a 2-D x is one GEMM: split by rows, its weight gradient would be summed
-    # in another order. A GEMM with K < 64 is bound by writing its output.
+    # in another order
     clips = xd.shape[0] if xd.ndim > 2 else 1
-    per_clip = math.prod(xd.shape[1:-1]) * k * m // 32 if k >= 64 else 0
+    per_clip = math.prod(xd.shape[1:-1]) * max(k, m)
     out = np.empty(xd.shape[:-1] + (m,), np.result_type(xd, wd))
 
     _by_clips(lambda ix: _affine(xd[ix], wd, b.data, out[ix]), clips, per_clip)

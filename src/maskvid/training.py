@@ -475,19 +475,32 @@ def _check_clip_grids(clips, dims: tuple, name: str, owner: str):
             raise ConfigError(f"{name} clip {i} has grid {clip.grid_dims}, the {owner} {dims}")
 
 
-def _make_checkpoint(params: MAEParams, extra_params: dict[str, Param] | None,
-                     state: OptimState, step: int, config: dict[str, str],
-                     rng: np.random.Generator) -> Checkpoint:
-    values = {n: p.value.data.copy() for n, p in params.params.items()}
-    if extra_params:
-        values.update({n: p.value.data.copy() for n, p in extra_params.items()})
-    return Checkpoint(params=values,
+def _make_checkpoint(params: dict[str, Param], state: OptimState, step: int,
+                     config: dict[str, str], rng: np.random.Generator) -> Checkpoint:
+    return Checkpoint(params={n: p.value.data.copy() for n, p in params.items()},
                       optim_m={k: v.copy() for k, v in state.views(state.m).items()},
                       optim_v={k: v.copy() for k, v in state.views(state.v).items()},
                       opt_step=state.step, step=step, config=dict(config),
                       rng_state=rng.bit_generator.state)
 
 
+def supervised_checkpoint(params: MAEParams, head: dict[str, Param], steps: int,
+                          config: TrainConfig) -> Checkpoint:
+    """The checkpoint of a fine-tune or probe, as `maskvid finetune|probe`
+    writes it: the model's and head's values after `steps` steps under
+    config, with no AdamW moments (so a resume refuses it) and the state of
+    a fresh generator seeded with config.seed."""
+    return _make_checkpoint({**params.params, **head}, OptimState([]), steps,
+                            snapshot_config(params.config, config),
+                            np.random.default_rng(config.seed))
+
+
+# A diverging run overflows before its loss or gradient turns non-finite. The
+# loops' own finite checks decide when it stops, so numpy warns of nothing.
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_QUIET
 def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
              resume: Checkpoint | None = None,
              stop_step: int | None = None) -> PretrainResult:
@@ -562,7 +575,7 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
                               targets[idx[:, None], masked])
 
     trace, aborted = _train_steps(config, n, rng, state, loss_of, start_step, stop_step)
-    ckpt = _make_checkpoint(params, None, state, start_step + len(trace), config_snap, rng)
+    ckpt = _make_checkpoint(params.params, state, start_step + len(trace), config_snap, rng)
     return PretrainResult(ckpt, trace, aborted)
 
 
@@ -597,6 +610,7 @@ def _grids_and_labels(dataset, params: MAEParams) -> tuple[np.ndarray, np.ndarra
     return grids, np.array([dataset[i][1] for i in range(len(dataset))])
 
 
+@_QUIET
 def _supervised_loop(params: MAEParams, train_ds, eval_ds, config: TrainConfig,
                      trainable, lr_scales=None) -> EvalResult:
     """Cross-entropy training; an aborted run is not evaluated (accuracy nan).

@@ -8,10 +8,12 @@ module-scoped set of training runs because they dominate the runtime budget.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from maskvid.experiments import AXES, AblationSpec
 from maskvid.gradsuite import run_gradient_suite
 from maskvid.masking import leakage_probe, make_mask
 from maskvid.model import (ModelConfig, init_mae_params, mae_forward_batch, mae_loss_batch,
@@ -23,6 +25,9 @@ from maskvid.training import (OptimState, TrainConfig, adamw_step,
                               pretrain, save_checkpoint, scaled_lr)
 from maskvid.video import (CubeGrid, VideoClip, cubify, decubify,
                            normalize_cube_targets, synth_moving_sprites)
+
+# `maskvid ablate --axis strategy`'s protocol, which criteria 6 and 7 run
+SPEC = AblationSpec("strategy", AXES["strategy"].defaults)
 
 
 # 1. Gradient suite ------------------------------------------------------------
@@ -60,8 +65,10 @@ def test_random_mask_exact_counts_and_leakage():
 
 
 def test_frame_mask_exact_counts_and_leakage():
+    # the protocol's frame cell ratio: 0.9 rounded to whole slices of T' = 8
+    ratio = AXES["strategy"].cell(SPEC, "frame")[2].mask_ratio
     for seed in range(1000):
-        m = make_mask("frame", DIMS, 0.875, np.random.default_rng(seed))
+        m = make_mask("frame", DIMS, ratio, np.random.default_rng(seed))
         slice_masked = m.mask.all(axis=1)
         slice_visible = ~m.mask.any(axis=1)
         assert int(slice_masked.sum()) == 7
@@ -173,44 +180,40 @@ def test_single_clip_memorization_and_reconstruction():
 
 # 6 & 7. Masking-strategy ablation and pretraining-vs-scratch ----------------------
 #
-# Shared protocol, calibrated for a single CPU core. One 2,000-step
-# pre-training run per strategy (seed 0) on 16 noise-free sprite clips, then
-# fine-tuning on 4 labeled clips (one per motion class), evaluated on 64
-# held-out clips. The (16, 80, 80) canvas gives an (8, 5, 5) token grid and
-# the 24-pixel sprite keeps each spatial site's content stable for most of
-# the clip, so non-tube masking can reconstruct by copying the same site at
-# another time while tube masking has to infer motion. The strategy
-# comparison (criterion 6) uses fine-tune seeds 0-2; the pretrained-vs-
-# scratch comparison (criterion 7) uses seeds 0-4 because its margin is
-# smaller. The scratch baseline fine-tunes freshly initialized encoders.
+# The protocol is SPEC's, so the gates and `maskvid ablate --axis strategy`
+# cannot drift apart: its model grid, sprite data (see AblationSpec for why
+# noise-free 24-pixel sprites), pretraining and fine-tune configs, and
+# AXES["strategy"]'s cell for each default strategy (tube and random at the
+# spec's ratio, frame at the nearest ratio of whole slices). Only the seeds
+# are the gate's own: unlike run_ablation, each strategy pretrains once
+# (seed 0) and that checkpoint is fine-tuned under several seeds. The
+# strategy comparison (criterion 6) uses fine-tune seeds 0-2; the
+# pretrained-vs-scratch comparison (criterion 7) uses seeds 0-4 because its
+# margin is smaller. The scratch baseline fine-tunes freshly initialized
+# encoders.
 
-ABL_MODEL = ModelConfig(dims=(8, 5, 5))
-ABL_DATA = dict(noise_level=0.0, size=(16, 80, 80), sprite_extent=24)
+PRETRAIN_SEED = 0
 FT_SEEDS = (0, 1, 2)
 SCRATCH_SEEDS = (0, 1, 2, 3, 4)
 
 
-def _finetune_cfg(seed: int) -> TrainConfig:
-    return TrainConfig(mode="finetune", beta2=0.999, total_steps=200,
-                       base_lr=0.256, batch_size=4, weight_decay=0.0, seed=seed)
+def _finetune(params, train_ds, eval_ds, seed: int) -> float:
+    return finetune(params, train_ds, eval_ds, replace(SPEC.finetune_cfg, seed=seed)).accuracy
 
 
 @pytest.fixture(scope="module")
 def ablation_runs():
-    pre_ds = synth_moving_sprites(0, 16, **ABL_DATA)
-    train_ds = synth_moving_sprites(1, 4, **ABL_DATA)
-    eval_ds = synth_moving_sprites(2, 64, **ABL_DATA)
+    train_ds = SPEC.sprites(1, SPEC.label_clips)
+    eval_ds = SPEC.sprites(2, SPEC.eval_clips)
 
     t0 = time.monotonic()
     means = {}
     accs = {}
-    for strategy, ratio in (("tube", 0.9), ("random", 0.9), ("frame", 0.875)):
-        pcfg = TrainConfig(mode="pretrain", total_steps=2000, base_lr=0.64,
-                           batch_size=4, mask_strategy=strategy,
-                           mask_ratio=ratio, seed=0)
-        res = pretrain(pcfg, pre_ds, model_cfg=ABL_MODEL)
-        accs[strategy] = [finetune(params_from_checkpoint(res.checkpoint),
-                                   train_ds, eval_ds, _finetune_cfg(s)).accuracy
+    for value in SPEC.values:
+        strategy, model_cfg, pcfg, n_pre = AXES["strategy"].cell(SPEC, value)
+        res = pretrain(replace(pcfg, seed=PRETRAIN_SEED), SPEC.sprites(0, n_pre),
+                       model_cfg=model_cfg)
+        accs[strategy] = [_finetune(params_from_checkpoint(res.checkpoint), train_ds, eval_ds, s)
                           for s in FT_SEEDS]
         means[strategy] = float(np.mean(accs[strategy]))
         if strategy == "tube":
@@ -218,13 +221,12 @@ def ablation_runs():
     means["elapsed"] = time.monotonic() - t0
 
     # criterion 7 cells (not part of the criterion-6 runtime budget)
-    tube5 = accs["tube"] + [
-        finetune(params_from_checkpoint(tube_ckpt), train_ds, eval_ds,
-                 _finetune_cfg(s)).accuracy for s in SCRATCH_SEEDS[3:]]
+    tube5 = accs["tube"] + [_finetune(params_from_checkpoint(tube_ckpt), train_ds, eval_ds, s)
+                            for s in SCRATCH_SEEDS[len(FT_SEEDS):]]
     means["tube5"] = float(np.mean(tube5))
     means["scratch"] = float(np.mean(
-        [finetune(init_mae_params(ABL_MODEL, seed=s), train_ds, eval_ds,
-                  _finetune_cfg(s)).accuracy for s in SCRATCH_SEEDS]))
+        [_finetune(init_mae_params(SPEC.model_cfg, seed=s), train_ds, eval_ds, s)
+         for s in SCRATCH_SEEDS]))
     return means
 
 

@@ -778,6 +778,20 @@ def test_a_2d_linear_never_submits_to_the_pool(monkeypatch, split_log):
     assert split_log == ["linear"]
 
 
+@pytest.mark.parametrize("clips,rows,k,m,splits", [
+    (4, 48, 1536, 64, False), (16, 16, 1536, 64, False), (4, 200, 1536, 64, True),
+    (4, 200, 32, 1536, True)], ids=["ratio_0.75_embed", "16_clip_embed", "200_row_embed",
+                                    "pixel_projection"])
+def test_linear_weighs_a_split_by_the_larger_of_its_input_and_output(split_log, clips, rows, k,
+                                                                      m, splits):
+    # rows x max(K, M) entries per clip, a half's against the floor: a
+    # ratio-0.75 step's 48-row embedding stays serial, fine-tuning's 200-row
+    # one and the full-grid K = 32 pixel projection split
+    x, w, b = (Tensor(np.zeros(shape, np.float32)) for shape in ((clips, rows, k), (k, m), (m,)))
+    tk.linear(x, w, b)
+    assert split_log == (["linear"] if splits else [])
+
+
 @pytest.mark.parametrize("op", ["linear", "attention", "attention_block"])
 def test_a_split_finishes_here_while_the_worker_is_busy(monkeypatch, op):
     # a worker whose core is busy elsewhere has not started its half when the

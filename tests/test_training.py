@@ -10,6 +10,7 @@ import math
 import os
 import sys
 import threading
+import warnings
 from concurrent import futures
 
 import numpy as np
@@ -20,17 +21,18 @@ from hypothesis import strategies as st
 from maskvid import tensor as tk, training
 from maskvid.errors import (CheckpointError, ConfigError, ContractError,
                             NumericError)
+from maskvid.experiments import AXES, AblationSpec
 from maskvid.masking import make_mask
 from maskvid.model import (ModelConfig, classify, cube_embed, decode, encode,
                            init_head_params, init_mae_params, mae_forward_batch,
                            mae_loss_batch)
 from maskvid.tensor import Param, Tape, Tensor
 from maskvid.training import (_EVAL_BATCH, Checkpoint, OptimState, TrainConfig,
-                              _make_checkpoint, _train_steps, adamw_step, cosine_warmup_lr,
-                              finetune, layer_lr_scales, linear_probe, load_checkpoint,
+                              _train_steps, adamw_step, cosine_warmup_lr, finetune,
+                              layer_lr_scales, linear_probe, load_checkpoint,
                               masked_mse_loss, params_from_checkpoint, pretrain,
                               save_checkpoint, scaled_lr, snapshot_config,
-                              write_loss_trace)
+                              supervised_checkpoint, write_loss_trace)
 from maskvid.video import (VideoClip, cubify, normalize_cube_targets, stack_cubes,
                            synth_moving_sprites)
 
@@ -460,9 +462,8 @@ def _reference_save_checkpoint(ckpt: Checkpoint, path: str):
 def _finetune_checkpoint(pretrained: Checkpoint) -> Checkpoint:
     """A checkpoint as `maskvid finetune` writes one: encoder, head, no moments."""
     params = params_from_checkpoint(pretrained)
-    return _make_checkpoint(params, init_head_params(params.config), OptimState([]),
-                            3, snapshot_config(params.config, TrainConfig(mode="finetune")),
-                            np.random.default_rng(5))
+    return supervised_checkpoint(params, init_head_params(params.config), 3,
+                                 TrainConfig(mode="finetune"))
 
 
 def test_checkpoint_files_are_byte_for_byte_the_fixed_format(tmp_path):
@@ -651,7 +652,9 @@ def _bytes(params: dict) -> dict:
     return {n: p.value.data.tobytes() for n, p in params.items()}
 
 
-_ACCEPTANCE_SPRITES = dict(size=(16, 80, 80), sprite_extent=24, noise_level=0.0)
+# the acceptance ablation's (8,5,5) grid and sprites; its data seed is 0, so
+# _ACCEPTANCE.sprites(s, n) draws n clips with seed s
+_ACCEPTANCE = AblationSpec("strategy", AXES["strategy"].defaults)
 # (training clips, eval set): 3 clips at batch 4 draw with replacement, so a
 # batch repeats a clip; "held_out" evaluates on clips the head never saw
 _SUPERVISED_CASES = [(4, "train"), (3, "train"), (4, "held_out")]
@@ -660,14 +663,14 @@ _SUPERVISED_CASES = [(4, "train"), (3, "train"), (4, "held_out")]
 @pytest.fixture(scope="module")
 def acceptance_encoder():
     """Briefly pretrained (8,5,5) encoder, so that clips' features differ."""
-    pre = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
+    pre = _ACCEPTANCE.sprites(0, 8)
     cfg = TrainConfig(total_steps=6, base_lr=0.64, batch_size=4, seed=0)
-    return pretrain(cfg, pre, model_cfg=ModelConfig(dims=(8, 5, 5))).checkpoint
+    return pretrain(cfg, pre, model_cfg=_ACCEPTANCE.model_cfg).checkpoint
 
 
 def _supervised_case(n_train, eval_set):
-    labelled = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES).subset(range(n_train))
-    held_out = synth_moving_sprites(2, 8, **_ACCEPTANCE_SPRITES)
+    labelled = _ACCEPTANCE.sprites(1, 4).subset(range(n_train))
+    held_out = _ACCEPTANCE.sprites(2, 8)
     return labelled, labelled if eval_set == "train" else held_out
 
 
@@ -721,8 +724,8 @@ def test_supervised_steps_record_11_fine_tune_and_3_probe_tape_entries(monkeypat
     # layer norm, mean pool, head layer norm, head linear, cross-entropy; a
     # probe step runs only the head
     recorded = _tape_lengths(monkeypatch)
-    params = init_mae_params(ModelConfig(dims=(8, 5, 5)), seed=0)
-    ds = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
+    params = init_mae_params(_ACCEPTANCE.model_cfg, seed=0)
+    ds = _ACCEPTANCE.sprites(1, 4)
     runner(params, ds, ds, TrainConfig(mode="finetune", batch_size=4, total_steps=2, seed=0))
     assert recorded == [entries, entries]
 
@@ -734,9 +737,9 @@ def test_a_pretraining_step_records_15_tape_entries(monkeypatch):
     # with its loss as one (the gather of raw visible cubes has a constant
     # input and records nothing)
     recorded = _tape_lengths(monkeypatch)
-    clips = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
+    clips = _ACCEPTANCE.sprites(0, 8)
     pretrain(TrainConfig(batch_size=4, total_steps=2, seed=0), clips,
-             model_cfg=ModelConfig(dims=(8, 5, 5)))
+             model_cfg=_ACCEPTANCE.model_cfg)
     assert recorded == [15, 15]
 
 
@@ -770,15 +773,14 @@ def test_maskvid_code_runs_only_on_the_main_thread(monkeypatch):
         monkeypatch.setattr(Tape, attr, confined(vars(Tape)[attr]))
     monkeypatch.setattr(tk, "_POOL", None)
 
-    params = init_mae_params(ModelConfig(dims=(8, 5, 5)), seed=0)
-    labelled = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
+    params = init_mae_params(_ACCEPTANCE.model_cfg, seed=0)
+    labelled = _ACCEPTANCE.sprites(1, 4)
     result = finetune(params, labelled, labelled,
                       TrainConfig(mode="finetune", batch_size=4, total_steps=1, seed=0))
-    held_out = synth_moving_sprites(2, 16, **_ACCEPTANCE_SPRITES)
+    held_out = _ACCEPTANCE.sprites(2, 16)
     classify([clip for clip, _ in held_out], result.params, result.head)
     pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0, flip_augment=True),
-             synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES),
-             model_cfg=ModelConfig(dims=(8, 5, 5)))
+             _ACCEPTANCE.sprites(0, 8), model_cfg=_ACCEPTANCE.model_cfg)
     assert {name for name, _ in threads} >= {"attention_block", "pixel_mse", "Tape.record",
                                               "Tape.backward"}
     assert [name for name, thread in threads if thread is not threading.main_thread()] == []
@@ -800,8 +802,8 @@ def test_tube_pretraining_splits_only_decoder_blocks_and_finetuning_more(monkeyp
         forward_splits.append((name, tokens.shape[-2], len(split_log) - before))
         return out
 
-    cfg = ModelConfig(dims=(8, 5, 5))
-    clips = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
+    cfg = _ACCEPTANCE.model_cfg
+    clips = _ACCEPTANCE.sprites(0, 8)
     with monkeypatch.context() as m:
         m.setattr(tk, "attention_block", logged)
         pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0), clips, model_cfg=cfg)
@@ -810,7 +812,7 @@ def test_tube_pretraining_splits_only_decoder_blocks_and_finetuning_more(monkeyp
     assert split_log == (["stack_cubes"] + ["attention_block"] * 2 + ["pixel_mse"] * 2
                          + ["attention_block"] * 2)
     split_log.clear()
-    labelled = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
+    labelled = _ACCEPTANCE.sprites(1, 4)
     finetune(init_mae_params(cfg, seed=0), labelled, labelled,
              TrainConfig(mode="finetune", batch_size=4, total_steps=1, seed=0))
     assert set(split_log) == {"stack_cubes", "linear", "attention_block"}
@@ -826,9 +828,9 @@ def test_tube_pretraining_hands_the_loss_only_the_visible_cubes(monkeypatch):
         return mae_loss_batch(cubes, visible, *args)
 
     monkeypatch.setattr("maskvid.training.mae_loss_batch", recorded)
-    clips = synth_moving_sprites(0, 8, **_ACCEPTANCE_SPRITES)
+    clips = _ACCEPTANCE.sprites(0, 8)
     pretrain(TrainConfig(batch_size=4, total_steps=1, seed=0), clips,
-             model_cfg=ModelConfig(dims=(8, 5, 5)))
+             model_cfg=_ACCEPTANCE.model_cfg)
     [(cubes, visible)] = batches
     assert cubes.shape == (4, 16, 1536) and visible.shape == (4, 16)
     grids = stack_cubes(clips.clips, np.float32)
@@ -865,8 +867,8 @@ def test_supervised_runs_reject_an_eval_clip_of_another_grid_before_training(mon
                                                                            runner):
     steps = []
     monkeypatch.setattr(Tape, "backward", lambda tape, loss: steps.append(1))
-    params = init_mae_params(ModelConfig(dims=(8, 5, 5)), seed=0)
-    train_ds = synth_moving_sprites(1, 4, **_ACCEPTANCE_SPRITES)
+    params = init_mae_params(_ACCEPTANCE.model_cfg, seed=0)
+    train_ds = _ACCEPTANCE.sprites(1, 4)
     eval_ds = synth_moving_sprites(2, 4)  # (8, 4, 4) clips
     cfg = TrainConfig(mode="finetune", batch_size=2, total_steps=2, seed=0)
     with pytest.raises(ConfigError, match="eval clip 0"):
@@ -903,6 +905,19 @@ def test_supervised_loops_stop_cleanly_on_a_non_finite_loss(runner):
         np.testing.assert_array_equal(params[n].value.data, before[n])
 
 
+@pytest.mark.parametrize("runner", [finetune, linear_probe], ids=["finetune", "linear_probe"])
+def test_a_diverging_supervised_run_aborts_without_a_numpy_warning(runner):
+    # the run overflows before its loss turns non-finite; the loop's finite
+    # check stops it, on both halves of each split op, and numpy stays silent
+    params = init_mae_params(_ACCEPTANCE.model_cfg, seed=0)
+    ds = _ACCEPTANCE.sprites(1, 4)
+    cfg = TrainConfig(mode="finetune", base_lr=1e30, batch_size=4, total_steps=5, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner(params, ds, ds, cfg)
+    assert result.aborted and math.isnan(result.accuracy)
+
+
 def test_finetune_rejects_geometry_mismatch():
     params = init_mae_params(_tiny_cfg(), seed=0)  # (2,2,2) grid
     ds = synth_moving_sprites(seed=0, count=4)     # (8,4,4) grid clips
@@ -923,7 +938,7 @@ def test_supervised_runs_reject_empty_sets_and_labels_beyond_the_head(runner):
         runner(params, ds, ds, cfg)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pretrain_aborts_on_divergence_with_last_good_params():
     ds = synth_moving_sprites(seed=0, count=4, noise_level=0.0)
     cfg = TrainConfig(base_lr=1e9, batch_size=2, total_steps=30, seed=0,

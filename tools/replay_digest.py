@@ -201,6 +201,7 @@ def replay_gradsuite():
     for name, err in sorted(gradsuite.primitive_checks().items()):
         emit(f"gradsuite/{name}", digest(err))
     emit("gradsuite/mae_forward", digest(gradsuite.mae_forward_check()))
+    emit("gradsuite/mae_loss", digest(gradsuite.mae_loss_check()))
     emit("gradsuite/classify", digest(gradsuite.classify_check()))
 
 
