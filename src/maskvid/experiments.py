@@ -8,6 +8,7 @@ runs; absolute accuracies are not comparable to any large-scale result.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import time
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import ConfigError
 from .masking import make_mask, leakage_probe
 from .model import ModelConfig
-from .training import TrainConfig, _has_type, finetune, pretrain, params_from_checkpoint
+from .training import (TrainConfig, _has_type, _stacks_kept, finetune, params_from_checkpoint,
+                       pretrain)
 from .video import clip_size, synth_moving_sprites
 
 @dataclass
@@ -86,23 +88,6 @@ def _mean_leakage(strategy: str, dims, ratio: float, n: int = 200) -> float:
                           for _ in range(n)]))
 
 
-def _run_cell(spec: AblationSpec, value, seed: int, pretrain_cfg: TrainConfig,
-              model_cfg: ModelConfig, pre_ds, train_ds, eval_ds) -> ReportRow:
-    t0 = time.perf_counter()
-    result = pretrain(pretrain_cfg, pre_ds, model_cfg=model_cfg)
-    params = params_from_checkpoint(result.checkpoint)
-    ft_cfg = replace(spec.finetune_cfg, seed=seed)
-    ft = finetune(params, train_ds, eval_ds, ft_cfg)
-    wall = time.perf_counter() - t0
-    dims = (model_cfg.dims[0], model_cfg.spatial_sites)
-    leak = _mean_leakage(pretrain_cfg.mask_strategy, dims, pretrain_cfg.mask_ratio)
-    probe_mask = make_mask(pretrain_cfg.mask_strategy, dims,
-                           pretrain_cfg.mask_ratio, np.random.default_rng(0))
-    final_loss = result.trace[-1][2] if result.trace else float("nan")
-    return ReportRow(spec.axis, value, seed, ft.accuracy, final_loss, leak,
-                     probe_mask.n_visible, wall)
-
-
 # Each axis maps one grid value to (report value, model config, pretrain
 # config, pretrain clip count); the cell's seed is set afterwards.
 
@@ -165,8 +150,42 @@ AXES = {"strategy": Axis(_strategy_cell, ["tube", "random", "frame"]),
         "dataset_fraction": Axis(_dataset_fraction_cell, [0.25, 0.5, 1.0], float)}
 
 
+class _Job(NamedTuple):
+    """One cell of the grid: a pretraining, then a fine-tune from it."""
+    value: object  # the report's
+    seed: int
+    model_cfg: ModelConfig
+    pretrain_cfg: TrainConfig  # seeded
+    n_pre: int  # pretraining clips
+
+
+def _check_grid(spec: AblationSpec, cells: list):
+    """ConfigError if the grid runs no cell, or one report key (axis, value,
+    seed) twice: write_report would keep only one of its rows."""
+    if not spec.seeds:
+        raise ConfigError("ablate.seeds is empty, so the grid has no cell to run")
+    for seed in spec.seeds:
+        if spec.seeds.count(seed) > 1:
+            raise ConfigError(f"ablate.seeds lists seed {seed} twice")
+    first = {}
+    for given, (value, *_) in zip(spec.values, cells):
+        if str(value) in first:
+            raise ConfigError(f"ablate.values {first[str(value)]!r} and {given!r} both run "
+                              f"the {spec.axis} cell {value!r}")
+        first[str(value)] = given
+
+
 def run_ablation(spec: AblationSpec) -> list[ReportRow]:
-    """One pretrain -> finetune cell per (value, seed) of the spec's axis."""
+    """One pretrain -> finetune cell per (value, seed) of the spec's axis, one
+    row each, in value-major order.
+
+    Every cell's pretraining runs first, keeping only its parameters and
+    final loss; then every cell fine-tunes from its parameters. Each run of
+    consecutive pretrainings on one clip set, and the fine-tunes, stack
+    their clips' cubes (and targets) once and share them. A row's
+    wall_seconds is its pretraining time plus its fine-tune time; the
+    leakage probe is outside it.
+    """
     axis = AXES.get(spec.axis)
     if axis is None:
         raise ConfigError(f"unknown ablation axis {spec.axis!r}")
@@ -175,17 +194,44 @@ def run_ablation(spec: AblationSpec) -> list[ReportRow]:
             raise ConfigError(f"ablate.values on the {spec.axis} axis must be "
                               f"{axis.value_type.__name__}s, got {value!r}")
     cells = [axis.cell(spec, value) for value in spec.values]
+    _check_grid(spec, cells)
+    jobs = [_Job(value, seed, model_cfg, replace(pretrain_cfg, seed=seed), n_pre)
+            for value, model_cfg, pretrain_cfg, n_pre in cells for seed in spec.seeds]
     train_ds = spec.sprites(1, spec.label_clips)
     eval_ds = spec.sprites(2, spec.eval_clips)
-    pre_ds = {}
-    rows = []
-    for value, model_cfg, pretrain_cfg, n_pre in cells:
-        if n_pre not in pre_ds:
-            pre_ds[n_pre] = spec.sprites(0, n_pre)
-        for seed in spec.seeds:
-            rows.append(_run_cell(spec, value, seed, replace(pretrain_cfg, seed=seed),
-                                  model_cfg, pre_ds[n_pre], train_ds, eval_ds))
-    return rows
+    pretrained = []  # per job: parameters, final loss, seconds
+    for n_pre, group in itertools.groupby(jobs, key=lambda job: job.n_pre):
+        pre_ds = spec.sprites(0, n_pre)
+        with _stacks_kept():
+            pretrained += [_pretrained(job, pre_ds) for job in group]
+    with _stacks_kept():
+        # each job's parameters leave the list with its fine-tune, so no
+        # fine-tuned model outlives its row
+        return [_finetuned_row(spec, job, *pretrained.pop(0), train_ds, eval_ds)
+                for job in jobs]
+
+
+def _pretrained(job: _Job, pre_ds) -> tuple:
+    """A job's pretraining: its parameters, final loss and seconds; the
+    checkpoint and its AdamW moments are dropped."""
+    t0 = time.perf_counter()
+    result = pretrain(job.pretrain_cfg, pre_ds, model_cfg=job.model_cfg)
+    final_loss = result.trace[-1][2] if result.trace else float("nan")
+    return params_from_checkpoint(result.checkpoint), final_loss, time.perf_counter() - t0
+
+
+def _finetuned_row(spec: AblationSpec, job: _Job, params, final_loss: float,
+                   pretrain_s: float, train_ds, eval_ds) -> ReportRow:
+    """A job's fine-tune from its pretrained parameters, and its report row."""
+    t0 = time.perf_counter()
+    ft = finetune(params, train_ds, eval_ds, replace(spec.finetune_cfg, seed=job.seed))
+    wall = pretrain_s + time.perf_counter() - t0
+    cfg = job.pretrain_cfg
+    dims = (job.model_cfg.dims[0], job.model_cfg.spatial_sites)
+    leak = _mean_leakage(cfg.mask_strategy, dims, cfg.mask_ratio)
+    probe_mask = make_mask(cfg.mask_strategy, dims, cfg.mask_ratio, np.random.default_rng(0))
+    return ReportRow(spec.axis, job.value, job.seed, ft.accuracy, final_loss, leak,
+                     probe_mask.n_visible, wall)
 
 
 def write_report(path: str, rows: list[ReportRow]):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import math
@@ -495,6 +497,40 @@ def supervised_checkpoint(params: MAEParams, head: dict[str, Param], steps: int,
                             np.random.default_rng(config.seed))
 
 
+# The open scope's clip stacks, (id of the caller's clip set, flip, dtype,
+# targets) -> (that clip set, its stack_cubes arrays); None outside a scope.
+# A context variable, so a scope is seen only by the thread that opened it.
+_STACKS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_STACKS", default=None)
+
+
+@contextlib.contextmanager
+def _stacks_kept():
+    """Within, each clip set is stacked on first use and its read-only arrays
+    reused after that; leaving, on return or raise, drops them all. Only
+    experiments.run_ablation enters one."""
+    token = _STACKS.set({})
+    try:
+        yield
+    finally:
+        _STACKS.reset(token)
+
+
+def _stacked(source, clips, dtype, targets: bool = False, flip: bool = False):
+    """stack_cubes(clips, dtype, targets), where clips are the clips of the
+    caller's clip set source, with their mirrors appended if flip. In a scope,
+    a later call on the same source object returns the first call's arrays."""
+    stacks = _STACKS.get()
+    if stacks is None:
+        return stack_cubes(clips, dtype, targets)
+    key = (id(source), flip, np.dtype(dtype), targets)
+    if key not in stacks:
+        arrays = stack_cubes(clips, dtype, targets)
+        for array in arrays if targets else (arrays,):
+            array.flags.writeable = False
+        stacks[key] = (source, arrays)  # the reference keeps id(source) unique
+    return stacks[key][1]
+
+
 # A diverging run overflows before its loss or gradient turns non-finite. The
 # loops' own finite checks decide when it stops, so numpy warns of nothing.
 _QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -561,7 +597,8 @@ def pretrain(config: TrainConfig, dataset, model_cfg: ModelConfig | None = None,
     n = len(dataset)
     if config.flip_augment:  # clip i mirrored left to right is entry n + i
         clips += [VideoClip(c.pixels[..., ::-1]) for c in clips]
-    grids, targets = stack_cubes(clips, params.pos_enc.dtype, targets=True)
+    grids, targets = _stacked(dataset, clips, params.pos_enc.dtype, targets=True,
+                              flip=config.flip_augment)
 
     def loss_of(idx):
         masks = [make_mask(config.mask_strategy, mask_dims, config.mask_ratio, rng)
@@ -606,7 +643,8 @@ def _eval_accuracy(head: dict[str, Param], features: np.ndarray, labels: np.ndar
 
 def _grids_and_labels(dataset, params: MAEParams) -> tuple[np.ndarray, np.ndarray]:
     """The dataset's stacked cube grids, in the parameters' dtype, and its labels."""
-    grids = stack_cubes([dataset[i][0] for i in range(len(dataset))], params.pos_enc.dtype)
+    grids = _stacked(dataset, [dataset[i][0] for i in range(len(dataset))],
+                     params.pos_enc.dtype)
     return grids, np.array([dataset[i][1] for i in range(len(dataset))])
 
 

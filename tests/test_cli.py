@@ -415,6 +415,19 @@ def test_ablate_runs_a_strategy_ratio_cell_at_the_acceptance_geometry(tmp_path):
     assert "model.dims=[8, 5, 5]\n" in (outdir / "resolved.cfg").read_text()
 
 
+@pytest.mark.parametrize("override", ["ablate.seeds=[]", "ablate.seeds=[0, 0]",
+                                      'ablate.values=["tube", "tube"]',
+                                      'ablate.values=["frame", ["frame", 0.875]]'])
+def test_ablate_refuses_a_grid_that_runs_no_cell_or_one_report_key_twice(
+        tmp_path, monkeypatch, capsys, override):
+    monkeypatch.delenv("ARTIFACT_OUT", raising=False)
+    assert cli.run(["ablate", "--axis", "strategy", "--set", override,
+                    "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "event=config_error" in out and override.split("=")[0] in out
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_ablate_takes_its_seeds_from_ablate_seeds_only(capsys):
     assert cli.run(["ablate", "--axis", "ratio", "--seed", "3"]) == 1
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

@@ -35,7 +35,11 @@ The replay covers:
 - masked_mse_loss on a 3-clip (B, N, C) batch of predictions against the
   sprites' normalized cubes, with one mask per clip for each strategy: the
   loss and the predictions' gradient;
-- every value of the gradient suite.
+- every value of the gradient suite;
+- `run_ablation` on the ratio axis, values 0.5 and 0.9 under seeds 0 and 1,
+  and a 0.9 cell with flip_augment (4 pretraining and 2 fine-tune steps, 8
+  pretraining, 4 labelled and 8 eval clips): every row field but
+  wall_seconds.
 
 It calls only public functions whose signatures have been stable across the
 refactors it checks. It takes about half a minute on two cores.
@@ -49,10 +53,12 @@ import io
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
 from maskvid import cli, gradsuite
+from maskvid.experiments import REPORT_FIELDS, AblationSpec, run_ablation
 from maskvid.masking import make_mask, mask_to_text
 from maskvid.model import ModelConfig, classify, pos_embed_table
 from maskvid.tensor import Param, Tape
@@ -205,6 +211,21 @@ def replay_gradsuite():
     emit("gradsuite/classify", digest(gradsuite.classify_check()))
 
 
+def replay_ablation():
+    pretrain_cfg = TrainConfig(mode="pretrain", total_steps=4, base_lr=0.64, batch_size=4)
+    finetune_cfg = TrainConfig(mode="finetune", beta2=0.999, total_steps=2, base_lr=0.256,
+                               batch_size=4, weight_decay=0.0)
+    rows = []
+    for values, seeds, flip in (([0.5, 0.9], [0, 1], False), ([0.9], [0], True)):
+        spec = AblationSpec(axis="ratio", values=values, seeds=seeds, model_cfg=GEOMETRY,
+                            pretrain_cfg=replace(pretrain_cfg, flip_augment=flip),
+                            finetune_cfg=finetune_cfg, pretrain_clips=8, label_clips=4,
+                            eval_clips=8)
+        rows += [[getattr(row, f) for f in REPORT_FIELDS if f != "wall_seconds"]
+                 for row in run_ablation(spec)]
+    emit("run_ablation/rows", digest(rows))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         tube = replay_training(workdir)
@@ -213,6 +234,7 @@ def main() -> int:
     replay_viz()
     replay_masked_loss()
     replay_gradsuite()
+    replay_ablation()
     return 0
 
 
